@@ -1,6 +1,6 @@
 // Runtime scaling: shard-count sweep for the concurrent StreamRuntime
 // over a Figure-10-style stock workload, against the single-threaded
-// PartitionedEngine baseline.
+// Engine baseline (the same keyed engine each shard runs).
 //
 // The query is paper Query 2's shape (three same-name trades with rising
 // prices) over 64 symbols, so the analyzer's partition key gives the
@@ -88,7 +88,7 @@ RunResult RunRuntime(const PatternPtr& pattern, const PhysicalPlan& plan,
 int Run() {
   Banner("Runtime scaling",
          "StreamRuntime shard sweep (1/2/4/8) vs single-threaded "
-         "PartitionedEngine, Query-2 shape over 64 symbols, window 200");
+         "Engine, Query-2 shape over 64 symbols, window 200");
 
   auto pattern = AnalyzeQuery(kQuery, StockSchema());
   if (!pattern.ok()) {
@@ -103,7 +103,7 @@ int Run() {
   const PhysicalPlan plan = LeftDeepPlan(*p);
   const auto events = Workload();
 
-  const RunResult base = RunPartitioned(p, plan, events);
+  const RunResult base = RunTreePlan(p, plan, events);
   RecordResult("runtime_scaling", "single_thread", "1", base);
 
   Table table({"configuration", "throughput (ev/s)", "speedup", "matches"});

@@ -84,26 +84,6 @@ RunResult RunNfaBaseline(const PatternPtr& pattern,
       });
 }
 
-RunResult RunPartitioned(const PatternPtr& pattern, const PhysicalPlan& plan,
-                         const std::vector<EventPtr>& events,
-                         EngineOptions options) {
-  return Measure(
-      events,
-      [&]() {
-        auto engine = PartitionedEngine::Create(pattern, plan, options);
-        if (!engine.ok()) {
-          std::fprintf(stderr, "partitioned create failed: %s\n",
-                       engine.status().ToString().c_str());
-          std::abort();
-        }
-        return std::move(*engine);
-      },
-      [&](std::unique_ptr<PartitionedEngine>& engine) {
-        for (const EventPtr& e : events) engine->Push(e);
-        engine->Finish();
-      });
-}
-
 namespace {
 std::string JsonEscape(const std::string& s) {
   std::string out;

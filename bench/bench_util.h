@@ -17,7 +17,6 @@
 
 #include "api/zstream.h"
 #include "exec/engine.h"
-#include "exec/partitioned_engine.h"
 #include "nfa/nfa_engine.h"
 #include "workload/stock_gen.h"
 
@@ -37,7 +36,8 @@ struct RunResult {
 int Repetitions();
 
 /// Pushes `events` through a fresh tree engine `reps` times; returns the
-/// mean throughput and the peak memory of the last run.
+/// mean throughput and the peak memory of the last run. Keyed
+/// (hash-partitioned) patterns run through the same engine.
 RunResult RunTreePlan(const PatternPtr& pattern, const PhysicalPlan& plan,
                       const std::vector<EventPtr>& events,
                       EngineOptions options = {});
@@ -45,11 +45,6 @@ RunResult RunTreePlan(const PatternPtr& pattern, const PhysicalPlan& plan,
 /// Same, for the NFA baseline.
 RunResult RunNfaBaseline(const PatternPtr& pattern,
                          const std::vector<EventPtr>& events);
-
-/// Same, for a hash-partitioned pattern.
-RunResult RunPartitioned(const PatternPtr& pattern, const PhysicalPlan& plan,
-                         const std::vector<EventPtr>& events,
-                         EngineOptions options = {});
 
 /// Machine-readable results. When the environment variable ZS_BENCH_JSON
 /// names a file, each call appends one JSON object (JSON Lines) with the

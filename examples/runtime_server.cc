@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
   }
 
   // One trading day over 16 symbols, replayed by two producer threads
-  // that split the symbols between them (per-key order preserved).
+  // that split the symbols between them. With 4 shards (a multiple of
+  // 2) each shard is fed by one producer, so its stream stays ordered.
   StockGenOptions gen;
   gen.names.clear();
   gen.weights.clear();

@@ -1,5 +1,5 @@
 // Internal access to Query's engine objects. The public surface keeps
-// Query opaque (no raw Engine*/PartitionedEngine* escapes api/); code
+// Query opaque (no raw Engine* escapes api/); code
 // that legitimately needs the executor — the runtime layer's
 // diagnostics, white-box tests, ablation benchmarks — goes through this
 // header instead, so every such use is greppable.
@@ -14,12 +14,13 @@ struct QueryAccess {
   /// The uniform shard-facing interface (exec/engine_core.h).
   static EngineCore* Core(Query& query) { return query.core(); }
 
-  /// The single-partition engine (null when the query is partitioned).
+  /// The engine backing the query, keyed or not.
   static Engine* SingleEngine(Query& query) { return query.engine_.get(); }
 
-  /// The hash-partitioned engine (null when not partitioned).
-  static PartitionedEngine* Partitioned(Query& query) {
-    return query.partitioned_.get();
+  /// The same engine when the query is keyed (hash-partitioned), null
+  /// otherwise.
+  static Engine* Partitioned(Query& query) {
+    return query.partitioned() ? query.engine_.get() : nullptr;
   }
 };
 

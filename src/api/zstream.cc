@@ -66,10 +66,7 @@ void Query::SetMatchCallback(MatchCallback cb) {
   core()->SetMatchCallback(std::move(cb));
 }
 
-uint64_t Query::num_matches() const {
-  return partitioned_ != nullptr ? partitioned_->num_matches()
-                                 : engine_->num_matches();
-}
+uint64_t Query::num_matches() const { return engine_->num_matches(); }
 
 std::string Query::Explain() const {
   std::ostringstream os;
@@ -78,32 +75,20 @@ std::string Query::Explain() const {
   os.precision(6);
   os << plan_.estimated_cost
      << " stats=" << (stats_provided_ ? "provided" : "uniform-defaults");
-  if (partitioned_ != nullptr) {
+  if (partitioned()) {
     os << " [hash-partitioned on " << pattern_->partition->field_name
        << "]";
   }
   return os.str();
 }
 
-std::string Query::CurrentPlan() const {
-  return partitioned_ != nullptr ? partitioned_->ExplainPlan()
-                                 : engine_->ExplainPlan();
-}
+std::string Query::CurrentPlan() const { return engine_->ExplainPlan(); }
 
-std::string Query::ExplainAnalyze() const {
-  return partitioned_ != nullptr ? partitioned_->ExplainAnalyze()
-                                 : engine_->ExplainAnalyze();
-}
+std::string Query::ExplainAnalyze() const { return engine_->ExplainAnalyze(); }
 
-uint64_t Query::plan_switches() const {
-  return partitioned_ != nullptr ? partitioned_->plan_switches()
-                                 : engine_->plan_switches();
-}
+uint64_t Query::plan_switches() const { return engine_->plan_switches(); }
 
-MemoryTracker& Query::memory() {
-  return partitioned_ != nullptr ? partitioned_->memory()
-                                 : engine_->memory();
-}
+MemoryTracker& Query::memory() { return engine_->memory(); }
 
 // ---------------------------------------------------------------------
 // ZStream
@@ -141,14 +126,8 @@ Result<std::unique_ptr<Query>> ZStream::CompileParsed(
   query->pattern_ = pattern;
   query->plan_ = plan;
   query->stats_provided_ = options.stats.has_value();
-  if (pattern->partition.has_value()) {
-    ZS_ASSIGN_OR_RETURN(
-        query->partitioned_,
-        PartitionedEngine::Create(pattern, plan, options.engine));
-  } else {
-    ZS_ASSIGN_OR_RETURN(query->engine_,
-                        Engine::Create(pattern, plan, options.engine));
-  }
+  ZS_ASSIGN_OR_RETURN(query->engine_,
+                      Engine::Create(pattern, plan, options.engine));
   return query;
 }
 

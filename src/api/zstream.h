@@ -37,7 +37,6 @@
 #include "api/catalog.h"
 #include "api/pattern_builder.h"
 #include "exec/engine.h"
-#include "exec/partitioned_engine.h"
 #include "opt/planner.h"
 #include "query/analyzer.h"
 #include "query/ddl.h"
@@ -73,7 +72,8 @@ struct CompileOptions {
 };
 
 /// \brief An opaque, runnable compiled query (partitioned automatically
-/// when the analyzer found a full-coverage equality key).
+/// when the analyzer found a full-coverage equality key: the one engine
+/// then pairs records by key).
 class Query {
  public:
   void Push(const EventPtr& event);
@@ -104,7 +104,7 @@ class Query {
   std::string ExplainAnalyze() const;
 
   MemoryTracker& memory();
-  bool partitioned() const { return partitioned_ != nullptr; }
+  bool partitioned() const { return pattern_->partition.has_value(); }
 
  private:
   friend class ZStream;
@@ -112,14 +112,10 @@ class Query {
 
   Query() = default;
 
-  /// The uniform shard-facing interface over whichever engine backs
-  /// this query (see exec/engine_core.h). Internal: reach it through
+  /// The shard-facing interface of the engine backing this query (see
+  /// exec/engine_core.h). Internal: reach it through
   /// internal::QueryAccess.
-  EngineCore* core() {
-    return partitioned_ != nullptr
-               ? static_cast<EngineCore*>(partitioned_.get())
-               : engine_.get();
-  }
+  EngineCore* core() { return engine_.get(); }
 
   std::string name_;
   std::string stream_;
@@ -127,7 +123,6 @@ class Query {
   PhysicalPlan plan_;
   bool stats_provided_ = false;
   std::unique_ptr<Engine> engine_;
-  std::unique_ptr<PartitionedEngine> partitioned_;
 };
 
 /// \brief Outcome of one ZStream::Execute statement.

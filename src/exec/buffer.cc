@@ -34,6 +34,16 @@ void Buffer::Unaccount(size_t bytes) {
   if (tracker_ != nullptr) tracker_->Release(bytes);
 }
 
+void Buffer::SyncIndexBytes() {
+  const size_t now = index_.has_value() ? index_->bytes() : 0;
+  if (now > index_bytes_) {
+    Account(now - index_bytes_);
+  } else if (now < index_bytes_) {
+    Unaccount(index_bytes_ - now);
+  }
+  index_bytes_ = now;
+}
+
 Buffer::Chunk& Buffer::AcquireChunk() {
   std::unique_ptr<Chunk> c;
   if (!free_chunks_.empty()) {
@@ -104,12 +114,8 @@ ZS_HOT void Buffer::FinishAppend(Chunk& c, uint32_t row, RecordId id) {
     Account(bytes);
   }
   if (index_.has_value()) {
-    const EventPtr& key_event =
-        c.slots[row * static_cast<size_t>(arity_) +
-                static_cast<size_t>(index_->class_idx())];
-    if (key_event != nullptr) {
-      index_->Insert(key_event->value(index_->field_idx()), id);
-    }
+    index_->Insert(&c.slots[row * static_cast<size_t>(arity_)], id);
+    SyncIndexBytes();
   }
 }
 
@@ -234,19 +240,24 @@ void Buffer::RetireFrontChunk() {
 }
 
 void Buffer::PurgeBefore(Timestamp eat) {
-  size_t removed = 0;
+  const RecordId first = base_id_;
   while (base_id_ < next_id_) {
     Chunk& front = *chunks_.front();
     const size_t row = static_cast<size_t>(base_id_ - front.first_id);
     if (front.start[row] >= eat) break;
     ReleaseRow(front, static_cast<uint32_t>(row));
     ++base_id_;
-    ++removed;
     if (base_id_ - front.first_id == kChunkCap) RetireFrontChunk();
   }
-  // Amortize index cleanup: compact when a meaningful chunk was purged.
-  if (index_.has_value() && removed > 64) {
+  if (!index_.has_value() || base_id_ == first) return;
+  // Compact once as many records were purged as remain (or none
+  // remain): amortized O(1) per purged record, and purged ids never
+  // outnumber live ones by more than a chunk.
+  purged_since_compact_ += static_cast<size_t>(base_id_ - first);
+  if (empty() || purged_since_compact_ >= std::max(kChunkCap, size())) {
     index_->Compact(base_id_);
+    purged_since_compact_ = 0;
+    SyncIndexBytes();
   }
 }
 
@@ -261,24 +272,25 @@ void Buffer::Clear() {
   // A trailing partially-filled chunk survives the loop above.
   while (!chunks_.empty()) RetireFrontChunk();
   ZS_DCHECK(group_refs_.empty());
-  if (index_.has_value()) index_->Compact(base_id_);
+  if (index_.has_value()) {
+    index_->Clear();
+    purged_since_compact_ = 0;
+    SyncIndexBytes();
+  }
 }
 
-void Buffer::EnableHashIndex(int class_idx, int field_idx) {
-  if (index_.has_value() && index_->class_idx() == class_idx &&
-      index_->field_idx() == field_idx) {
-    return;
-  }
-  index_.emplace(class_idx, field_idx);
+void Buffer::EnableHashIndex(const KeySpec& key) {
+  if (index_.has_value() && index_->key() == key) return;
+  index_.emplace(key);
   for (RecordId id = base_id_; id < next_id_; ++id) {
-    const RecordRef r = Get(id);
-    const EventPtr& key_event = r.slots[class_idx];
-    if (key_event != nullptr) {
-      index_->Insert(key_event->value(field_idx), id);
-    }
+    index_->Insert(Get(id).slots, id);
   }
+  SyncIndexBytes();
 }
 
-void Buffer::DisableHashIndex() { index_.reset(); }
+void Buffer::DisableHashIndex() {
+  index_.reset();
+  SyncIndexBytes();
+}
 
 }  // namespace zstream

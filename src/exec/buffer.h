@@ -61,7 +61,7 @@ struct RecordRef {
 };
 
 /// \brief Ordered columnar record store with watermark-based consumption,
-/// EAT purging and an optional equality hash index.
+/// EAT purging and an optional hash index (equality join or partition key).
 class Buffer {
  public:
   /// Records per chunk. Chosen to keep one chunk's slot matrix within a
@@ -137,9 +137,10 @@ class Buffer {
   /// internal right-child buffers after their round is consumed).
   void Clear();
 
-  /// Enables an equality hash index keyed on slot `class_idx`'s
-  /// attribute `field_idx`; indexes existing and future records.
-  void EnableHashIndex(int class_idx, int field_idx);
+  /// Enables a hash index on `key` (an equality join's attribute, or
+  /// the partition key); indexes existing and future records. A no-op
+  /// when the buffer is already indexed on `key`.
+  void EnableHashIndex(const KeySpec& key);
   void DisableHashIndex();
   bool has_hash_index() const { return index_.has_value(); }
   const HashIndex* hash_index() const {
@@ -173,6 +174,9 @@ class Buffer {
   void ReleaseGroup(const EventGroupPtr& g);
   void Account(size_t bytes);
   void Unaccount(size_t bytes);
+  /// Charges (or releases) the change in the index's bytes since the
+  /// last sync.
+  void SyncIndexBytes();
 
   MemoryTracker* tracker_;
   bool count_event_bytes_;
@@ -186,6 +190,10 @@ class Buffer {
   RecordId watermark_ = 0;
   Timestamp last_end_ts_ = kMinTimestamp;
   std::optional<HashIndex> index_;
+  /// The index's bytes as last charged to tracked_bytes_.
+  size_t index_bytes_ = 0;
+  /// Records purged since the index was last compacted.
+  size_t purged_since_compact_ = 0;
   size_t tracked_bytes_ = 0;
   /// Kleene groups resident in this buffer, by payload identity: a group
   /// shared by many records (one closure feeding many pairs) is charged

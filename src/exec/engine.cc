@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/macros.h"
@@ -65,6 +66,9 @@ Engine::Engine(PatternPtr pattern, const EngineOptions& options,
   // Hash-equality routing must avoid classes that may be unbound in a
   // record (see BuildNode).
   optional_class_ = pattern_->OptionalClasses();
+  if (pattern_->partition.has_value()) {
+    part_key_ = KeySpec::Partition(pattern_->partition->field_indices);
+  }
 #ifndef ZSTREAM_OBS_STRIPPED
   profiling_ = options_.profile || options_.slow_event_ns > 0;
 #endif
@@ -85,24 +89,12 @@ Result<std::unique_ptr<Engine>> Engine::Create(PatternPtr pattern,
   return engine;
 }
 
-Result<std::unique_ptr<Engine>> Engine::CreateTrusted(
-    PatternPtr pattern, const PhysicalPlan& plan, const EngineOptions& options,
-    MemoryTracker* tracker) {
-  auto engine =
-      std::unique_ptr<Engine>(new Engine(std::move(pattern), options, tracker));
-  ZS_RETURN_IF_ERROR(engine->Build(plan, /*initial=*/true,
-                                   /*pre_verified=*/true));
-  return engine;
-}
-
 Status Engine::Build(const PhysicalPlan& plan, bool initial,
                      bool pre_verified) {
   // Full invariant pass, not just the plan-layer ValidatePlan: every
   // plan reaching an engine (initial build or a SwitchPlan from the
   // adaptive path) satisfies the verifier or is refused here — except
-  // when the caller proved this exact pattern/plan pair already
-  // (Create's own pre-check, or PartitionedEngine verifying once for
-  // hundreds of partitions).
+  // when Create proved this exact pattern/plan pair already.
   if (!pre_verified) {
     ZS_RETURN_IF_ERROR(verify::VerifyPlan(*pattern_, plan));
   }
@@ -122,6 +114,10 @@ Status Engine::Build(const PhysicalPlan& plan, bool initial,
       leaves_.push_back(std::make_unique<LeafNode>(pattern_.get(), c,
                                                    tracker_));
       leaves_.back()->set_runtime_stats(windowed_stats_.get());
+      if (part_key_.has_value()) {
+        leaves_.back()->set_key_field(
+            pattern_->partition->field_indices[static_cast<size_t>(c)]);
+      }
     }
     if (options_.adaptive) {
       adaptive_ = std::make_unique<AdaptiveController>(
@@ -131,8 +127,13 @@ Status Engine::Build(const PhysicalPlan& plan, bool initial,
 
   internal_nodes_.clear();
   assembly_order_.clear();
-  for (auto& leaf : leaves_) {
-    leaf->output()->DisableHashIndex();
+  // Equality-join indexes belong to the old plan's operators. A keyed
+  // pattern's leaf indexes are on the partition key, which every plan
+  // shares, so they survive the rebuild instead.
+  if (!part_key_.has_value()) {
+    for (auto& leaf : leaves_) {
+      leaf->output()->DisableHashIndex();
+    }
   }
 
   std::vector<ExprPtr> unattached = pattern_->multi_predicates;
@@ -174,6 +175,16 @@ bool CoversAll(const std::vector<int>& cover, const std::set<int>& classes) {
   return true;
 }
 }  // namespace
+
+void Engine::KeyOperator(OperatorNode* op,
+                         std::initializer_list<OperatorNode*> probed) {
+  if (!part_key_.has_value()) return;
+  op->set_partition_key(&*part_key_);
+  if (!options_.use_hash_indexes) return;
+  for (OperatorNode* p : probed) {
+    if (p != nullptr) p->output()->EnableHashIndex(*part_key_);
+  }
+}
 
 void Engine::AttachPredicates(OperatorNode* op,
                               std::vector<ExprPtr>* unattached) {
@@ -232,9 +243,13 @@ Result<OperatorNode*> Engine::BuildNode(const PhysNodePtr& node,
       }
       op->set_covered(node->CoveredClasses());
       op->set_runtime_stats(windowed_stats_.get());
+      // SEQ probes its left input; CONJ pivots on either side.
+      if (seq != nullptr) KeyOperator(op.get(), {left});
+      if (conj != nullptr) KeyOperator(op.get(), {left, right});
 
       // Attach predicates newly covered here; route the first equality
-      // predicate through a hash index when enabled.
+      // predicate through a hash index when enabled (a keyed pattern's
+      // operators probe by partition key instead).
       const std::vector<int>& cover = op->covered();
       std::vector<ExprPtr> rest;
       std::vector<int> rest_idx;
@@ -247,7 +262,7 @@ Result<OperatorNode*> Engine::BuildNode(const PhysNodePtr& node,
           rest_idx.push_back(pred_index_of_[i]);
           continue;
         }
-        if (options_.use_hash_indexes && !hashed &&
+        if (options_.use_hash_indexes && !hashed && !part_key_.has_value() &&
             (seq != nullptr || conj != nullptr)) {
           auto eq = AsEqualityJoin(pred);
           // Hash routing requires both classes bound in every record on
@@ -324,6 +339,7 @@ Result<OperatorNode*> Engine::BuildNode(const PhysNodePtr& node,
                                            node->neg_left, tracker_);
       op->set_covered(node->CoveredClasses());
       op->set_runtime_stats(windowed_stats_.get());
+      KeyOperator(op.get(), {neg});
 
       // NSEQ-local predicates: everything covered here and not already
       // attached deeper. Predicates referencing this negated class plus
@@ -361,6 +377,7 @@ Result<OperatorNode*> Engine::BuildNode(const PhysNodePtr& node,
                                            end, tracker_);
       op->set_covered(node->CoveredClasses());
       op->set_runtime_stats(windowed_stats_.get());
+      KeyOperator(op.get(), {start, closure});
       AttachPredicates(op.get(), unattached);
       // A non-aggregate predicate on the closure class filters closure
       // events one by one (Algorithm 4's qualification step), which is
@@ -394,6 +411,7 @@ Result<OperatorNode*> Engine::BuildNode(const PhysNodePtr& node,
           pattern_.get(), input, neg_leaf, node->class_idx, tracker_);
       op->set_covered(node->CoveredClasses());
       op->set_runtime_stats(windowed_stats_.get());
+      KeyOperator(op.get(), {neg_leaf});
       AttachPredicates(op.get(), unattached);
       OperatorNode* raw = op.get();
       internal_nodes_.push_back(std::move(op));
@@ -510,6 +528,14 @@ ZS_HOT void Engine::PushBatch(const EventBatch& batch) {
 void Engine::Finish() {
   if (reorder_ != nullptr) reorder_->Flush();
   AssemblyRound();
+  PurgeExpired();
+}
+
+void Engine::PurgeExpired() {
+  if (max_ts_seen_ == kMinTimestamp) return;
+  const Timestamp horizon_eat = max_ts_seen_ - pattern_->window;
+  for (auto& leaf : leaves_) leaf->output()->PurgeBefore(horizon_eat);
+  for (auto& op : internal_nodes_) op->output()->PurgeBefore(horizon_eat);
 }
 
 ZS_HOT void Engine::AssemblyRound() {
@@ -526,7 +552,12 @@ ZS_HOT void Engine::AssemblyRound() {
       min_end = std::min(min_end, *first);
     }
   }
-  if (!any) return;
+  if (!any) {
+    // Idle round: nothing to assemble, but state older than the window
+    // is still freed, so buffers stay bounded while triggers are absent.
+    PurgeExpired();
+    return;
+  }
 
   const Timestamp eat = min_end - pattern_->window;
   const Timestamp horizon = max_ts_seen_ + 1;
@@ -744,16 +775,35 @@ NodeProfile Engine::Profile() const {
   return ProfileNode(*pattern_, *root_);
 }
 
+size_t Engine::num_partitions() const {
+  if (!part_key_.has_value()) return 0;
+  std::unordered_set<Value, ValueHasher> keys;
+  const auto collect = [&](const Buffer& buf) {
+    for (RecordId id = buf.base_id(); id < buf.end_id(); ++id) {
+      const Value* key = part_key_->Of(buf.Get(id).slots);
+      if (key != nullptr) keys.insert(*key);
+    }
+  };
+  for (const auto& leaf : leaves_) collect(*leaf->output());
+  for (const auto& op : internal_nodes_) collect(*op->output());
+  return keys.size();
+}
+
 std::string Engine::ExplainAnalyze() const {
   std::ostringstream os;
   if (!options_.label.empty()) os << "query=" << options_.label << " ";
   os << "plan=" << plan_.Explain(*pattern_);
   os.precision(6);
   os << " cost_est=" << plan_.estimated_cost
-     << " observed_pairs=" << pairs_tried() << "\n";
+     << " observed_pairs=" << pairs_tried();
+  if (part_key_.has_value()) {
+    os << " [hash-partitioned on " << pattern_->partition->field_name << ", "
+       << num_partitions() << " live keys]";
+  }
+  os << "\n";
   os << "events_pushed=" << events_pushed_ << " matches=" << num_matches_
      << " rounds=" << assembly_rounds_ << " plan_switches=" << plan_switches_
-     << " late=" << late_events_;
+     << " late=" << late_events();
   if (options_.slow_event_ns > 0) os << " slow_events=" << slow_events_;
   os << "\n" << RenderNodeProfile(Profile());
   return os.str();

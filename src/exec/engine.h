@@ -14,11 +14,20 @@
 // Plan switching (Section 5.3) preserves leaf buffers, discards internal
 // state, and rewinds non-trigger watermarks for one rebuild round, so a
 // switch loses no matches and duplicates none.
+//
+// A keyed pattern (Section 5.2.2: the analyzer found a partition key)
+// runs in the same single operator tree. Leaves reject events whose key
+// is null, the pairing operators combine only records of one key through
+// key-major buffer indexes, and the round's EAT purge frees expired
+// records of every key at once, so keyed state is bounded by the live
+// records inside the WITHIN window, not by the number of keys seen.
 #ifndef ZSTREAM_EXEC_ENGINE_H_
 #define ZSTREAM_EXEC_ENGINE_H_
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,25 +83,23 @@ struct EngineOptions {
   std::string label;
 };
 
-/// \brief Single-partition query engine.
+/// \brief Query engine: one operator tree per query (per shard), keyed
+/// or not.
 ///
 /// The engine is its own MatchSink: the plan root streams completed
 /// matches straight into OnMatch (count / trace / callback) instead of
 /// materializing them into a root buffer that DrainRoot would discard.
-class Engine : public EngineCore, private MatchSink {
+///
+/// `final` lets calls through an `Engine*` inline the EngineCore
+/// counters; zbench/src/workloads.cc builds with -Werror and relies on
+/// that (GCC's -Wnonnull flags its null-guarded virtual call otherwise).
+class Engine final : public EngineCore, private MatchSink {
  public:
   using MatchCallback = zstream::MatchCallback;
 
   /// Instantiates `plan` (validated against `pattern`). `tracker` may be
   /// null, in which case the engine owns a private tracker.
   static Result<std::unique_ptr<Engine>> Create(
-      PatternPtr pattern, const PhysicalPlan& plan,
-      const EngineOptions& options = {}, MemoryTracker* tracker = nullptr);
-
-  /// Like Create, but for a pattern + plan pair the caller has already
-  /// validated/verified (PartitionedEngine proves them once, then
-  /// instantiates per partition without paying verification again).
-  static Result<std::unique_ptr<Engine>> CreateTrusted(
       PatternPtr pattern, const PhysicalPlan& plan,
       const EngineOptions& options = {}, MemoryTracker* tracker = nullptr);
 
@@ -107,14 +114,14 @@ class Engine : public EngineCore, private MatchSink {
   /// rounds at batch boundaries exactly as repeated Push would.
   void PushBatch(const EventBatch& batch) override;
 
-  /// Offers an event without round-triggering (PartitionedEngine drives
-  /// rounds itself).
+  /// Offers an event to the leaves without round-triggering.
   void Offer(const EventPtr& event);
 
   /// Forces an assembly round (used at batch boundaries / stream end).
   void AssemblyRound();
 
-  /// Flushes the reorder stage (if any) and any pending partial batch.
+  /// Flushes the reorder stage (if any) and any pending partial batch,
+  /// then frees every record too old to join a future match.
   void Finish() override;
 
   /// Installs a match consumer; without one, matches are only counted.
@@ -151,8 +158,11 @@ class Engine : public EngineCore, private MatchSink {
   uint64_t events_pushed() const override { return events_pushed_; }
   uint64_t assembly_rounds() const { return assembly_rounds_; }
   uint64_t plan_switches() const { return plan_switches_; }
-  /// Events dropped for arriving out of order beyond the slack.
-  uint64_t late_events() const { return late_events_; }
+  /// Events dropped for arriving out of order beyond the slack (by the
+  /// reorder stage, or below the timestamp frontier without one).
+  uint64_t late_events() const override {
+    return late_events_ + (reorder_ != nullptr ? reorder_->late_dropped() : 0);
+  }
   /// Events whose processing exceeded EngineOptions::slow_event_ns.
   uint64_t slow_events() const { return slow_events_; }
   MemoryTracker& memory() override { return *tracker_; }
@@ -161,6 +171,12 @@ class Engine : public EngineCore, private MatchSink {
   /// Total operator input combinations tried in the current plan
   /// (the empirical analogue of the cost model's Ci terms).
   uint64_t pairs_tried() const;
+
+  /// Keyed pattern: the number of distinct partition keys with live
+  /// records in any buffer (bounded by the keys active inside the
+  /// window, not by the keys ever seen). 0 for an unkeyed pattern.
+  /// Scans the live records: diagnostics, not a per-event call.
+  size_t num_partitions() const;
 
  private:
   Engine(PatternPtr pattern, const EngineOptions& options,
@@ -176,6 +192,15 @@ class Engine : public EngineCore, private MatchSink {
                                   std::vector<ExprPtr>* unattached);
   void AttachPredicates(OperatorNode* op, std::vector<ExprPtr>* unattached);
   void DrainRoot(Timestamp eat);
+  /// Purges every buffer of records that start before
+  /// max_ts_seen_ - window: future events arrive at or after
+  /// max_ts_seen_, so no future match can reach back to them.
+  void PurgeExpired();
+  /// Keyed pattern: marks `op` as pairing by key and, with hash indexes
+  /// on, indexes the probed buffers of `probed` (null entries skipped)
+  /// on the partition key.
+  void KeyOperator(OperatorNode* op,
+                   std::initializer_list<OperatorNode*> probed);
   void MaybeAdapt();
   void LogSlowEvent(uint64_t elapsed_ns);
 
@@ -207,6 +232,8 @@ class Engine : public EngineCore, private MatchSink {
   /// Classes that can be unbound in a record (negated / Kleene / inside
   /// a disjunction branch); such classes are excluded from hash routing.
   std::vector<bool> optional_class_;
+  /// The pattern's partition key; nullopt when unkeyed.
+  std::optional<KeySpec> part_key_;
 
   std::unique_ptr<WindowedClassStats> windowed_stats_;
   std::unique_ptr<AdaptiveController> adaptive_;
@@ -244,6 +271,10 @@ class Engine : public EngineCore, private MatchSink {
   uint64_t prov_trace_ = 0;
   uint32_t prov_in_trace_ = 0;
 };
+
+/// Kept only for the repo benchmark's compile contract (zbench names the
+/// type); keyed and unkeyed queries both run on Engine.
+using PartitionedEngine = Engine;
 
 }  // namespace zstream
 

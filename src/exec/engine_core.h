@@ -1,9 +1,8 @@
 // The shard-facing engine interface.
 //
 // runtime::StreamRuntime hosts many queries, each instantiated once per
-// shard; a shard worker drives its engines through this interface without
-// caring whether a query runs as a single-partition Engine or a
-// hash-partitioned PartitionedEngine. Implementations are single-threaded
+// shard as an Engine (keyed or not); a shard worker drives its engines
+// through this interface. Implementations are single-threaded
 // (one shard worker owns each instance); cross-thread aggregation happens
 // above, via atomic match counters, the thread-safe MemoryTracker and the
 // merged StatsCatalog snapshots.
@@ -35,7 +34,7 @@ struct EventBatch {
   size_t count = 0;
 };
 
-/// \brief Uniform driving interface over Engine / PartitionedEngine.
+/// \brief The shard-facing driving interface implemented by Engine.
 class EngineCore {
  public:
   virtual ~EngineCore() = default;
@@ -67,11 +66,14 @@ class EngineCore {
 
   virtual uint64_t num_matches() const = 0;
   virtual uint64_t events_pushed() const = 0;
+  /// Events dropped for arriving below the engine's timestamp frontier
+  /// (the engine needs its input in timestamp order across all keys).
+  virtual uint64_t late_events() const = 0;
   virtual const Pattern& pattern() const = 0;
   virtual MemoryTracker& memory() = 0;
 
   /// Live per-plan-node counters for EXPLAIN ANALYZE (see
-  /// node_profile.h). Partitioned/sharded engines merge their parts.
+  /// node_profile.h); the runtime merges its shards' profiles.
   virtual NodeProfile Profile() const = 0;
 
   /// Human-readable query name for slow-event logs and metric labels.

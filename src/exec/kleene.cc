@@ -17,7 +17,9 @@
 //
 // Candidate (start, end, mid) combinations are probed through aliasing
 // views (BaseView / MidQualifies): no record is materialized until a
-// group survives the window and group predicates.
+// group survives the window and group predicates. Under a partition key
+// the start records and the closure events are drawn from the end
+// record's own key only.
 #include "exec/operators.h"
 
 #include "expr/analysis.h"
@@ -142,21 +144,22 @@ void KSeqNode::EmitOne(const RecordRef* sr, const RecordRef& er,
 // Collects qualifying closure events in (lo, hi) and emits the group(s)
 // for the (sr, er) pair.
 void KSeqNode::EmitGroups(const RecordRef* sr, const RecordRef& er,
-                          Timestamp lo, Timestamp hi, Timestamp eat) {
-  Buffer& mbuf = *closure_->output();
+                          Timestamp lo, Timestamp hi, Timestamp eat,
+                          const Value* key) {
+  const Buffer& mbuf = *closure_->output();
   const EvalInput base = BaseView(sr, er);
   const size_t kc = static_cast<size_t>(closure_->class_idx());
 
   qualifying_.clear();
-  for (RecordId mid = mbuf.base_id(); mid < mbuf.end_id(); ++mid) {
-    const RecordRef mr = mbuf.Get(mid);
-    ++pairs_tried_;
-    if (mr.end_ts >= hi) break;  // leaf buffer: sorted by timestamp
-    if (mr.start_ts < eat || mr.start_ts <= lo) continue;
-    const EventPtr& m = mr.slots[kc];
-    if (!MidQualifies(m, base)) continue;
-    qualifying_.push_back(m);
-  }
+  ForEachPartner(mbuf, key, mbuf.base_id(), mbuf.end_id(),
+                 /*newest_first=*/false, [&](const RecordRef& mr) {
+                   ++pairs_tried_;
+                   if (mr.end_ts >= hi) return false;  // leaf: sorted
+                   if (mr.start_ts < eat || mr.start_ts <= lo) return true;
+                   const EventPtr& m = mr.slots[kc];
+                   if (MidQualifies(m, base)) qualifying_.push_back(m);
+                   return true;
+                 });
 
   switch (kind_) {
     case KleeneKind::kStar:
@@ -190,6 +193,7 @@ void KSeqNode::AssembleWithEnd(Timestamp eat) {
   for (RecordId eid = ebuf.watermark(); eid < ebuf.end_id(); ++eid) {
     const RecordRef er = ebuf.Get(eid);
     if (er.start_ts < eat) continue;
+    const Value* key = PartitionKeyOf(er);
 
     if (sbuf == nullptr) {
       // Closure at pattern start: bounded below by the window only.
@@ -204,29 +208,27 @@ void KSeqNode::AssembleWithEnd(Timestamp eat) {
         }
       }
       if (base_ok) {
-        EmitGroups(nullptr, er, er.end_ts - window_ - 1, er.start_ts, eat);
+        EmitGroups(nullptr, er, er.end_ts - window_ - 1, er.start_ts, eat,
+                   key);
       }
       continue;
     }
 
-    for (RecordId sid = sbuf->base_id(); sid < sbuf->end_id(); ++sid) {
-      const RecordRef sr = sbuf->Get(sid);
-      if (sr.end_ts >= er.start_ts) break;
-      if (sr.start_ts < eat) continue;
-      if (er.end_ts - sr.start_ts > window_) continue;
-      bool base_ok = true;
-      if (!base_preds_.empty()) {
-        const EvalInput base = BaseView(&sr, er);
-        for (const AttachedPred& p : base_preds_) {
-          if (!EvalOnePred(p, base)) {
-            base_ok = false;
-            break;
+    ForEachPartner(
+        *sbuf, key, sbuf->base_id(), sbuf->end_id(), /*newest_first=*/false,
+        [&](const RecordRef& sr) {
+          if (sr.end_ts >= er.start_ts) return false;
+          if (sr.start_ts < eat) return true;
+          if (er.end_ts - sr.start_ts > window_) return true;
+          if (!base_preds_.empty()) {
+            const EvalInput base = BaseView(&sr, er);
+            for (const AttachedPred& p : base_preds_) {
+              if (!EvalOnePred(p, base)) return true;
+            }
           }
-        }
-      }
-      if (!base_ok) continue;
-      EmitGroups(&sr, er, sr.end_ts, er.start_ts, eat);
-    }
+          EmitGroups(&sr, er, sr.end_ts, er.start_ts, eat, key);
+          return true;
+        });
   }
 
   ebuf.SetWatermark(ebuf.end_id());
@@ -248,6 +250,7 @@ void KSeqNode::AssembleAtPatternEnd(Timestamp eat) {
   for (RecordId mid = mbuf.watermark(); mid < mbuf.end_id(); ++mid) {
     const RecordRef mr = mbuf.Get(mid);
     if (mr.start_ts < eat) continue;
+    const Value* key = PartitionKeyOf(mr);
 
     const auto emit_for_start = [&](const RecordRef* sr) {
       const Timestamp lo = sr != nullptr ? sr->end_ts : kMinTimestamp;
@@ -260,17 +263,19 @@ void KSeqNode::AssembleAtPatternEnd(Timestamp eat) {
       const EventPtr& m_last = mr.slots[kc];
       if (!MidQualifies(m_last, base)) return;
       group.push_back(m_last);
-      for (RecordId prev = mid; prev-- > mbuf.base_id();) {
-        const RecordRef pr = mbuf.Get(prev);
-        if (pr.start_ts <= lo || pr.start_ts < eat) break;
-        if (kind_ == KleeneKind::kCount &&
-            group.size() >= static_cast<size_t>(count_)) {
-          break;
-        }
-        const EventPtr& m = pr.slots[kc];
-        if (!MidQualifies(m, base)) continue;
-        group.push_back(m);
-      }
+      ForEachPartner(mbuf, key, mbuf.base_id(), mid, /*newest_first=*/true,
+                     [&](const RecordRef& pr) {
+                       if (pr.start_ts <= lo || pr.start_ts < eat) {
+                         return false;
+                       }
+                       if (kind_ == KleeneKind::kCount &&
+                           group.size() >= static_cast<size_t>(count_)) {
+                         return false;
+                       }
+                       const EventPtr& m = pr.slots[kc];
+                       if (MidQualifies(m, base)) group.push_back(m);
+                       return true;
+                     });
       std::reverse(group.begin(), group.end());
       if (kind_ == KleeneKind::kCount &&
           group.size() != static_cast<size_t>(count_)) {
@@ -282,13 +287,15 @@ void KSeqNode::AssembleAtPatternEnd(Timestamp eat) {
     if (sbuf == nullptr) {
       emit_for_start(nullptr);
     } else {
-      for (RecordId sid = sbuf->base_id(); sid < sbuf->end_id(); ++sid) {
-        const RecordRef sr = sbuf->Get(sid);
-        if (sr.end_ts >= mr.start_ts) break;
-        if (sr.start_ts < eat) continue;
-        if (mr.end_ts - sr.start_ts > window_) continue;
-        emit_for_start(&sr);
-      }
+      ForEachPartner(*sbuf, key, sbuf->base_id(), sbuf->end_id(),
+                     /*newest_first=*/false, [&](const RecordRef& sr) {
+                       if (sr.end_ts >= mr.start_ts) return false;
+                       if (sr.start_ts >= eat &&
+                           mr.end_ts - sr.start_ts <= window_) {
+                         emit_for_start(&sr);
+                       }
+                       return true;
+                     });
     }
   }
   mbuf.SetWatermark(mbuf.end_id());

@@ -4,8 +4,8 @@
 // live counters: records in/out, input combinations tried, current
 // buffer occupancy, and cumulative assembly time when the engine runs
 // with EngineOptions::profile. Profiles from engines sharing one plan
-// shape (hash partitions of a PartitionedEngine, shard engines of the
-// concurrent runtime) merge by structural position, so the rendered
+// shape (the shard engines of the concurrent runtime) merge by
+// structural position, so the rendered
 // tree shows totals across the whole query regardless of how execution
 // was split.
 #ifndef ZSTREAM_EXEC_NODE_PROFILE_H_

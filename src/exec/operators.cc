@@ -139,6 +139,7 @@ LeafNode::LeafNode(const Pattern* pattern, int class_idx,
 }
 
 ZS_HOT bool LeafNode::Admit(const EventPtr& event) {
+  if (NullKey(*event)) return false;
   // Probe with a non-owning alias in the reused slot vector: most
   // events are rejected by the pushed-down predicates, and rejecting
   // must not pay for materialization (refcount up/down on the event).
@@ -211,7 +212,9 @@ ZS_HOT void LeafNode::OfferBatch(const EventPtr* events, int n) {
     lp.compiled->FilterBatch(events, n, mask_.data());
   }
   for (int i = 0; i < n; ++i) {
-    if (mask_[static_cast<size_t>(i)] != 0) Accept(events[i]);
+    if (mask_[static_cast<size_t>(i)] != 0 && !NullKey(*events[i])) {
+      Accept(events[i]);
+    }
   }
 }
 
@@ -229,7 +232,7 @@ SeqNode::SeqNode(const Pattern* pattern, OperatorNode* left,
 
 void SeqNode::SetHashEquality(const EqualityJoin& eq) {
   hash_eq_ = eq;
-  left_->output()->EnableHashIndex(eq.left_class, eq.left_field);
+  left_->output()->EnableHashIndex(KeySpec(eq.left_class, eq.left_field));
 }
 
 void SeqNode::AddNegGuard(int neg_class, bool neg_bound_on_right) {
@@ -280,29 +283,31 @@ ZS_HOT void SeqNode::Assemble(Timestamp eat) {
     // Window bound: combined span rr.end - lr.start must fit.
     const Timestamp min_start = rr.end_ts - window_;
 
-    // The hash path requires the equality's class bound on this record;
-    // a record from a disjunction branch that leaves it unbound must
-    // take the scan path instead (the predicate vacuous-passes there).
-    const EventPtr* hash_key_event =
-        hash_eq_.has_value() && lbuf.has_hash_index()
-            ? &rr.slots[hash_eq_->right_class]
-            : nullptr;
-    if (hash_key_event != nullptr && *hash_key_event != nullptr) {
-      const Value key = (*hash_key_event)->value(hash_eq_->right_field);
-      for (uint64_t lid : lbuf.hash_index()->Probe(key)) {
-        if (lid < lbuf.base_id()) continue;
-        const RecordRef lr = lbuf.Get(lid);
-        if (lr.end_ts >= rr.start_ts) break;
-        if (lr.start_ts < eat || lr.start_ts < min_start) continue;
-        TryCombine(lr, rr);
-      }
-    } else {
-      for (RecordId lid = lbuf.base_id(); lid < lbuf.end_id(); ++lid) {
-        const RecordRef lr = lbuf.Get(lid);
-        if (lr.end_ts >= rr.start_ts) break;
-        if (lr.start_ts < eat || lr.start_ts < min_start) continue;
-        TryCombine(lr, rr);
-      }
+    // The probe key: the partition key, or the routed equality's
+    // attribute. A record from a disjunction branch that leaves the
+    // equality's class unbound scans instead: the predicate
+    // vacuous-passes there.
+    const Value* key = PartitionKeyOf(rr);
+    if (hash_eq_.has_value() && lbuf.has_hash_index()) {
+      const EventPtr& key_event = rr.slots[hash_eq_->right_class];
+      if (key_event != nullptr) key = &key_event->value(hash_eq_->right_field);
+    }
+    if (key != nullptr) {
+      ForEachPartner(lbuf, key, lbuf.base_id(), lbuf.end_id(),
+                     /*newest_first=*/false, [&](const RecordRef& lr) {
+                       if (lr.end_ts >= rr.start_ts) return false;
+                       if (lr.start_ts >= eat && lr.start_ts >= min_start) {
+                         TryCombine(lr, rr);
+                       }
+                       return true;
+                     });
+      continue;
+    }
+    for (RecordId lid = lbuf.base_id(); lid < lbuf.end_id(); ++lid) {
+      const RecordRef lr = lbuf.Get(lid);
+      if (lr.end_ts >= rr.start_ts) break;
+      if (lr.start_ts < eat || lr.start_ts < min_start) continue;
+      TryCombine(lr, rr);
     }
   }
 
@@ -344,31 +349,25 @@ ZS_HOT void NSeqNode::Assemble(Timestamp eat) {
     }
     if (orec.start_ts < eat) continue;
 
+    // Neg-left: the latest negator strictly before orec, newest first.
+    // Neg-right: the first negator strictly after orec, oldest first.
+    // Keyed patterns consider only orec's own key's negators.
     bool emitted = false;
-    if (neg_left_) {
-      // Find the latest negator strictly before orec, newest first.
-      for (RecordId nid = nbuf.end_id(); nid-- > nbuf.base_id();) {
-        const RecordRef nr = nbuf.Get(nid);
-        ++pairs_tried_;
-        if (nr.end_ts >= orec.start_ts) continue;
-        if (nr.start_ts < eat) break;  // leaf: older ids are even earlier
-        if (!preds_.empty() && !EvalPreds(MergedView(nr, orec))) continue;
-        EmitMerged(nr, orec, orec.start_ts, orec.end_ts);
-        emitted = true;
-        break;
-      }
-    } else {
-      // Find the first negator strictly after orec, oldest first.
-      for (RecordId nid = nbuf.base_id(); nid < nbuf.end_id(); ++nid) {
-        const RecordRef nr = nbuf.Get(nid);
-        ++pairs_tried_;
-        if (nr.start_ts <= orec.end_ts) continue;
-        if (!preds_.empty() && !EvalPreds(MergedView(nr, orec))) continue;
-        EmitMerged(nr, orec, orec.start_ts, orec.end_ts);
-        emitted = true;
-        break;
-      }
-    }
+    ForEachPartner(
+        nbuf, PartitionKeyOf(orec), nbuf.base_id(), nbuf.end_id(),
+        /*newest_first=*/neg_left_, [&](const RecordRef& nr) {
+          ++pairs_tried_;
+          if (neg_left_) {
+            if (nr.end_ts >= orec.start_ts) return true;
+            if (nr.start_ts < eat) return false;  // leaf: older are earlier
+          } else if (nr.start_ts <= orec.end_ts) {
+            return true;
+          }
+          if (!preds_.empty() && !EvalPreds(MergedView(nr, orec))) return true;
+          EmitMerged(nr, orec, orec.start_ts, orec.end_ts);
+          emitted = true;
+          return false;
+        });
     if (!emitted) {
       EmitRef(orec);  // (NULL, Rr)
     }
@@ -398,12 +397,12 @@ ConjNode::ConjNode(const Pattern* pattern, OperatorNode* left,
 
 void ConjNode::SetHashEquality(const EqualityJoin& eq) {
   hash_eq_ = eq;
-  left_->output()->EnableHashIndex(eq.left_class, eq.left_field);
-  right_->output()->EnableHashIndex(eq.right_class, eq.right_field);
+  left_->output()->EnableHashIndex(KeySpec(eq.left_class, eq.left_field));
+  right_->output()->EnableHashIndex(KeySpec(eq.right_class, eq.right_field));
 }
 
 ZS_HOT void ConjNode::CombineWithEarlier(const RecordRef& pivot,
-                                         Buffer& partner, RecordId limit,
+                                         const Buffer& partner, RecordId limit,
                                          bool pivot_is_left, Timestamp eat) {
   const auto try_one = [&](const RecordRef& br) {
     ++pairs_tried_;
@@ -424,29 +423,23 @@ ZS_HOT void ConjNode::CombineWithEarlier(const RecordRef& pivot,
     ++records_emitted_;
   };
 
+  // The probe key: the partition key, or the routed equality's
+  // attribute on the pivot's side. A pivot that leaves that class
+  // unbound (disjunction branch) scans: the predicate vacuous-passes.
+  const Value* key = PartitionKeyOf(pivot);
   if (hash_eq_.has_value() && partner.has_hash_index()) {
-    const HashIndex* idx = partner.hash_index();
-    // The pivot's key field is the opposite side of the equality.
     const int key_class =
         pivot_is_left ? hash_eq_->left_class : hash_eq_->right_class;
     const int key_field =
         pivot_is_left ? hash_eq_->left_field : hash_eq_->right_field;
     const EventPtr& key_event = pivot.slots[key_class];
-    // A pivot that leaves the key class unbound (disjunction branch)
-    // falls through to the scan: the predicate vacuous-passes.
-    if (key_event != nullptr) {
-      const Value key = key_event->value(key_field);
-      for (uint64_t id : idx->Probe(key)) {
-        if (id < partner.base_id()) continue;
-        if (id >= limit) break;
-        try_one(partner.Get(id));
-      }
-      return;
-    }
+    if (key_event != nullptr) key = &key_event->value(key_field);
   }
-  for (RecordId id = partner.base_id(); id < limit; ++id) {
-    try_one(partner.Get(id));
-  }
+  ForEachPartner(partner, key, partner.base_id(), limit,
+                 /*newest_first=*/false, [&](const RecordRef& br) {
+                   try_one(br);
+                   return true;
+                 });
 }
 
 ZS_HOT void ConjNode::Assemble(Timestamp eat) {
@@ -562,16 +555,17 @@ ZS_HOT void NegFilterNode::Assemble(Timestamp eat) {
     const Timestamp hi = c != nullptr ? c->timestamp() : rec.end_ts;
 
     bool negated = false;
-    for (RecordId bid = nbuf.end_id(); bid-- > nbuf.base_id();) {
-      const RecordRef br = nbuf.Get(bid);
-      ++pairs_tried_;
-      if (br.end_ts >= hi) continue;
-      if (br.end_ts <= lo) break;  // leaf: sorted, all older from here
-      if (preds_.empty() || EvalPreds(MergedView(br, rec))) {
-        negated = true;
-        break;
-      }
-    }
+    ForEachPartner(nbuf, PartitionKeyOf(rec), nbuf.base_id(), nbuf.end_id(),
+                   /*newest_first=*/true, [&](const RecordRef& br) {
+                     ++pairs_tried_;
+                     if (br.end_ts >= hi) return true;
+                     if (br.end_ts <= lo) return false;  // leaf: sorted
+                     if (preds_.empty() || EvalPreds(MergedView(br, rec))) {
+                       negated = true;
+                       return false;
+                     }
+                     return true;
+                   });
     if (!negated) {
       EmitRef(rec);
       ++records_emitted_;

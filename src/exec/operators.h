@@ -21,13 +21,22 @@
 //   * NEG filter: drops composites with an interleaving negator (the
 //     "last-filter-step" strategy the paper compares against).
 //
+// Keyed patterns (Section 5.2.2's hash partitioning) run in the same
+// tree: every operator that pairs records — SEQ, CONJ, NSEQ, NEG filter
+// and KSEQ — pairs a record only with partner, negator or closure
+// records of the same partition key, walking the partner buffer's
+// key-major index (hash_index.h) or, without hash indexes, scanning it
+// and comparing keys.
+//
 // All nodes are owned by the Engine. Leaf nodes survive plan switches;
 // internal nodes are rebuilt (Section 5.3).
 #ifndef ZSTREAM_EXEC_OPERATORS_H_
 #define ZSTREAM_EXEC_OPERATORS_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "exec/buffer.h"
@@ -89,6 +98,10 @@ class OperatorNode {
 
   void set_runtime_stats(WindowedClassStats* stats) { stats_ = stats; }
 
+  /// Keyed pattern: pairs only records whose `key` is equal (set on
+  /// pairing operators by the Engine; the spec outlives the node).
+  void set_partition_key(const KeySpec* key) { part_key_ = key; }
+
   uint64_t pairs_tried() const { return pairs_tried_; }
   uint64_t records_emitted() const { return records_emitted_; }
 
@@ -132,6 +145,21 @@ class OperatorNode {
   /// Emits a copy of an existing record (pass-through operators).
   void EmitRef(const RecordRef& r);
 
+  /// The partition key of `r`, or null when the pattern is unkeyed.
+  const Value* PartitionKeyOf(const RecordRef& r) const {
+    return part_key_ != nullptr ? part_key_->Of(r.slots) : nullptr;
+  }
+
+  /// Visits the records of `buf` with ids in [lo, hi), oldest first or
+  /// newest first, until `fn(const RecordRef&)` returns false. A null
+  /// `key` visits every record; otherwise only records whose key equals
+  /// it: a bucket walk when `buf` carries a hash index on that key (the
+  /// partition key, or the equality join a SEQ/CONJ routes), else a scan
+  /// comparing partition keys. `lo` must be at least buf.base_id().
+  template <typename Fn>
+  void ForEachPartner(const Buffer& buf, const Value* key, RecordId lo,
+                      RecordId hi, bool newest_first, Fn&& fn) const;
+
   const Pattern* pattern_;
   PhysOp op_;
   Buffer output_;
@@ -142,6 +170,7 @@ class OperatorNode {
   Duration window_;
   Timestamp horizon_ = kMaxTimestamp;
   WindowedClassStats* stats_ = nullptr;
+  const KeySpec* part_key_ = nullptr;
   uint64_t pairs_tried_ = 0;
   uint64_t records_emitted_ = 0;
   uint64_t eval_ns_ = 0;
@@ -173,6 +202,11 @@ class LeafNode : public OperatorNode {
   /// events are records_emitted().
   uint64_t offered() const { return offered_; }
 
+  /// Keyed pattern: the class's partition-key attribute. Events whose
+  /// key is null belong to no partition and are rejected at admission
+  /// (still counted in offered()).
+  void set_key_field(int field_idx) { key_field_ = field_idx; }
+
   void Assemble(Timestamp) override {}
 
  private:
@@ -183,8 +217,12 @@ class LeafNode : public OperatorNode {
 
   bool Admit(const EventPtr& event);
   void Accept(const EventPtr& event);
+  bool NullKey(const Event& event) const {
+    return key_field_ >= 0 && event.value(key_field_).is_null();
+  }
 
   int class_idx_;
+  int key_field_ = -1;
   uint64_t offered_ = 0;
   const EventClass* event_class_;
   std::vector<LeafPred> leaf_preds_;
@@ -258,7 +296,7 @@ class ConjNode : public OperatorNode {
   void Assemble(Timestamp eat) override;
 
  private:
-  void CombineWithEarlier(const RecordRef& pivot, Buffer& partner,
+  void CombineWithEarlier(const RecordRef& pivot, const Buffer& partner,
                           RecordId limit, bool pivot_is_left, Timestamp eat);
 
   OperatorNode* left_;
@@ -308,8 +346,9 @@ class KSeqNode : public OperatorNode {
  private:
   void AssembleWithEnd(Timestamp eat);
   void AssembleAtPatternEnd(Timestamp eat);
+  /// `key` is the pair's partition key (null when unkeyed).
   void EmitGroups(const RecordRef* sr, const RecordRef& er, Timestamp lo,
-                  Timestamp hi, Timestamp eat);
+                  Timestamp hi, Timestamp eat, const Value* key);
   /// Builds the base view (er slots, filled from sr) into base_slots_.
   EvalInput BaseView(const RecordRef* sr, const RecordRef& er);
   bool MidQualifies(const EventPtr& m, const EvalInput& base);
@@ -333,6 +372,44 @@ class KSeqNode : public OperatorNode {
   std::vector<EventPtr> base_slots_;
   EventGroup qualifying_;  // reused across EmitGroups calls
 };
+
+template <typename Fn>
+void OperatorNode::ForEachPartner(const Buffer& buf, const Value* key,
+                                  RecordId lo, RecordId hi, bool newest_first,
+                                  Fn&& fn) const {
+  if (key != nullptr && buf.has_hash_index()) {
+    const std::span<const uint64_t> ids = buf.hash_index()->Probe(*key);
+    const auto first = std::lower_bound(ids.begin(), ids.end(), lo);
+    const auto last = std::lower_bound(first, ids.end(), hi);
+    if (newest_first) {
+      for (auto it = last; it != first;) {
+        if (!fn(buf.Get(*--it))) return;
+      }
+    } else {
+      for (auto it = first; it != last; ++it) {
+        if (!fn(buf.Get(*it))) return;
+      }
+    }
+    return;
+  }
+  const auto visit = [&](RecordId id) {
+    const RecordRef r = buf.Get(id);
+    if (key != nullptr) {
+      const Value* k = part_key_->Of(r.slots);
+      if (k == nullptr || *k != *key) return true;
+    }
+    return fn(r);
+  };
+  if (newest_first) {
+    for (RecordId id = hi; id-- > lo;) {
+      if (!visit(id)) return;
+    }
+  } else {
+    for (RecordId id = lo; id < hi; ++id) {
+      if (!visit(id)) return;
+    }
+  }
+}
 
 }  // namespace zstream
 

@@ -40,7 +40,9 @@ struct RuntimeOptions {
   /// arriving later than the slack allows are dropped and counted
   /// (RuntimeStats::late_dropped; still-buffered events show up as
   /// RuntimeStats::pending). 0 disables the stage: events reach the
-  /// engines in queue order.
+  /// engines in queue order, and an engine drops (and counts in
+  /// RuntimeStats::late_dropped) any event older than one it has seen —
+  /// across all keys, since one engine per shard serves every key.
   Duration reorder_slack = 0;
   /// Default slow-event log threshold (wall nanoseconds) applied to
   /// every engine registered without its own EngineOptions::slow_event_ns.

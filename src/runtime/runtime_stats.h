@@ -21,9 +21,11 @@ struct ShardStats {
   size_t queue_depth = 0;
   /// events_processed / seconds since the runtime started.
   double throughput_eps = 0.0;
-  /// Reorder stage (RuntimeOptions::reorder_slack > 0): events dropped
-  /// for arriving later than the slack allows, and events currently
-  /// buffered awaiting their release timestamp.
+  /// Events dropped as late — by the reorder stage
+  /// (RuntimeOptions::reorder_slack > 0) for arriving later than the
+  /// slack allows, or by an engine for arriving below its timestamp
+  /// frontier (counted once per engine) — and events currently buffered
+  /// in the reorder stage awaiting their release timestamp.
   uint64_t late_dropped = 0;
   size_t pending = 0;
 };
@@ -44,8 +46,7 @@ class RuntimeStats {
   uint64_t events_dropped = 0;
   uint64_t matches = 0;
   size_t num_queries = 0;
-  /// Totals of the per-shard reorder-stage counters (0 when
-  /// RuntimeOptions::reorder_slack is 0).
+  /// Totals of the per-shard late and reorder-stage counters.
   uint64_t late_dropped = 0;
   size_t pending = 0;
 

@@ -188,7 +188,9 @@ struct StreamRuntime::Shard {
   std::atomic<uint64_t> events_processed{0};
   std::atomic<uint64_t> batches{0};
   std::atomic<uint64_t> dropped{0};
-  std::atomic<uint64_t> reorder_late{0};
+  /// Events dropped as late: by the reorder stages, plus each hosted
+  /// engine's own drops below its timestamp frontier.
+  std::atomic<uint64_t> late{0};
   std::atomic<uint64_t> reorder_pending{0};
 
   // Worker-thread-local: engines hosted on this shard.
@@ -197,6 +199,9 @@ struct StreamRuntime::Shard {
     EngineCore* engine;
   };
   std::vector<Entry> entries;
+  // Worker-thread-local: late drops of engines already retired from
+  // `entries`, so the published count never goes backwards.
+  uint64_t retired_late = 0;
 
   // Worker-thread-local: arrival stamp of the event currently being
   // dispatched; match callbacks (same thread) read it to compute
@@ -216,14 +221,15 @@ struct StreamRuntime::Shard {
   // timestamp-ordered input even when producers interleave.
   std::unordered_map<StreamId, std::unique_ptr<ReorderStage>> reorder;
 
-  void PublishReorderCounters() {
-    uint64_t late = 0;
+  void PublishLateCounters() {
+    uint64_t dropped = retired_late;
     uint64_t pending = 0;
     for (const auto& [stream, stage] : reorder) {
-      late += stage->late_dropped();
+      dropped += stage->late_dropped();
       pending += stage->pending();
     }
-    reorder_late.store(late, std::memory_order_relaxed);
+    for (const Entry& e : entries) dropped += e.engine->late_events();
+    late.store(dropped, std::memory_order_relaxed);
     reorder_pending.store(pending, std::memory_order_relaxed);
   }
 };
@@ -345,7 +351,6 @@ ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, const ShardMsg* msgs,
 
 void StreamRuntime::FlushReorder(Shard* shard) {
   for (auto& [stream, stage] : shard->reorder) stage->Flush();
-  shard->PublishReorderCounters();
 }
 
 ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
@@ -443,11 +448,12 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
               auto stage = shard->reorder.find(msg.query->stream);
               if (stage != shard->reorder.end()) {
                 stage->second->Flush();
-                shard->PublishReorderCounters();
               }
             }
             it->engine->Finish();  // deliver pending matches first
+            shard->retired_late += it->engine->late_events();
             shard->entries.erase(it);
+            shard->PublishLateCounters();
           }
           msg.sync->Arrive();
           break;
@@ -460,6 +466,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
           // point count as late.
           if (reordering) FlushReorder(shard);
           for (Shard::Entry& entry : shard->entries) entry.engine->Finish();
+          shard->PublishLateCounters();
           msg.sync->Arrive();
           break;
         }
@@ -522,11 +529,12 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
         }
       }
     }
-    if (reordering) shard->PublishReorderCounters();
+    shard->PublishLateCounters();
   }
   // Queue closed and drained: flush so counters and sinks are complete.
   if (reordering) FlushReorder(shard);
   for (Shard::Entry& entry : shard->entries) entry.engine->Finish();
+  shard->PublishLateCounters();
 }
 
 // ---------------------------------------------------------------------
@@ -854,17 +862,9 @@ Result<QueryId> StreamRuntime::RegisterCompiled(
 
   const std::vector<int> targets = TargetShards(*qs);
   for (int s : targets) {
-    std::unique_ptr<EngineCore> engine;
-    if (pattern->partition.has_value()) {
-      ZS_ASSIGN_OR_RETURN(auto pe, PartitionedEngine::Create(
-                                       pattern, plan, eopts,
+    ZS_ASSIGN_OR_RETURN(std::unique_ptr<EngineCore> engine,
+                        Engine::Create(pattern, plan, eopts,
                                        qs->tracker.get()));
-      engine = std::move(pe);
-    } else {
-      ZS_ASSIGN_OR_RETURN(auto se, Engine::Create(pattern, plan, eopts,
-                                                  qs->tracker.get()));
-      engine = std::move(se);
-    }
     engine->SetMatchCallback(
         [raw = qs.get(), s, sink = options.sink,
          shard = shards_[static_cast<size_t>(s)].get()](Match&& m) {
@@ -1181,7 +1181,8 @@ void StreamRuntime::UpdateMetrics() {
                    "Events dropped on a full queue (kDropNewest)")
         ->Store(s.events_dropped);
     reg.GetCounter("zstream_shard_reorder_late_total", labels,
-                   "Events dropped for arriving beyond the reorder slack")
+                   "Events dropped as late: beyond the reorder slack, or "
+                   "below an engine's timestamp frontier")
         ->Store(s.late_dropped);
     reg.GetGauge("zstream_shard_queue_depth", labels,
                  "Messages waiting in the shard's ring queue")
@@ -1246,7 +1247,7 @@ RuntimeStats StreamRuntime::Stats() const {
     s.throughput_eps =
         elapsed > 0.0 ? static_cast<double>(s.events_processed) / elapsed
                       : 0.0;
-    s.late_dropped = shard->reorder_late.load(std::memory_order_relaxed);
+    s.late_dropped = shard->late.load(std::memory_order_relaxed);
     s.pending = static_cast<size_t>(
         shard->reorder_pending.load(std::memory_order_relaxed));
     out.events_processed += s.events_processed;

@@ -224,8 +224,7 @@ class StreamRuntime {
   /// (EngineCore::PushBatch). Hash-routed queries filter the run per
   /// event first; pinned/broadcast queries take the span whole.
   void DispatchRun(Shard* shard, const ShardMsg* msgs, size_t count);
-  /// Drains the shard's reorder stages (stream end / flush barrier) and
-  /// refreshes the shard's published reorder counters.
+  /// Drains the shard's reorder stages (stream end / flush barrier).
   void FlushReorder(Shard* shard);
   /// Shard bitmask for `entry`; for hash routes also records the key
   /// hash it computed into *hint_field/*hint_hash so the shard worker

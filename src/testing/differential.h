@@ -4,7 +4,7 @@
 //
 // Paths (each compares the sorted multiset of MatchSignature keys):
 //   oracle            reference (testing/oracle.h)
-//   tree:<strategy>   Engine/PartitionedEngine via ZStream::Compile under
+//   tree:<strategy>   Engine (keyed or not) via ZStream::Compile under
 //                     kOptimal (batch 64, batch 1, hash indexes off,
 //                     partition detection off) plus kLeftDeep,
 //                     kRightDeep and kNegationTop when applicable

@@ -5,9 +5,15 @@
 // function (typically runtime::StreamRuntime::Ingest). Two split modes:
 //
 //   * key-partitioned (partition_field >= 0): each producer owns the
-//     keys hashing to it and pushes them in original order, so every
-//     partition key still observes an ordered stream — the property the
-//     engines need for exact match sets under concurrency;
+//     keys hashing to it (Value::Hash % num_producers) and pushes them
+//     in original order, so every partition key observes an ordered
+//     stream. A runtime shard's engine serves all of the shard's keys
+//     and needs its whole input in timestamp order, so the match set is
+//     exact only when each shard is fed by one producer — the runtime
+//     routes by Value::Hash % num_shards, so num_shards must be a
+//     multiple of num_producers — or when the runtime's reorder slack
+//     covers the skew between producers. Otherwise late events are
+//     dropped and counted in RuntimeStats::late_dropped;
 //   * contiguous chunks (partition_field < 0): maximum-rate replay where
 //     cross-chunk ordering is NOT preserved (use engines with reorder
 //     slack, or a single producer, when exactness matters).

@@ -7,9 +7,13 @@
 // frames. The same two split modes as the in-process driver apply:
 //
 //   * key-partitioned (partition_field >= 0): connection c owns the
-//     keys hashing to it and sends them in original order — per-key
-//     order is preserved, so hash-partitioned queries see exact match
-//     sets;
+//     keys hashing to it and sends them in original order. Per-key
+//     order is preserved, but a server shard needs its whole input in
+//     timestamp order: match sets are exact when the server's shard
+//     count is a multiple of num_connections (each shard then hears
+//     from one connection) or its --reorder-slack covers the skew
+//     between connections; otherwise late events are dropped and
+//     counted (zstream_shard_reorder_late_total);
 //   * contiguous chunks (partition_field < 0): maximum-rate replay;
 //     cross-chunk order is NOT preserved (run the server with
 //     --reorder-slack, or use a single connection, when exactness

@@ -257,7 +257,11 @@ TEST(Api, InternalQueryAccessReachesEngines) {
       "PATTERN A;B WHERE A.name = B.name AND A.price < B.price WITHIN 10");
   ASSERT_TRUE(keyed.ok());
   ASSERT_TRUE((*keyed)->partitioned());
-  EXPECT_EQ(internal::QueryAccess::SingleEngine(**keyed), nullptr);
+  // One engine type backs both: a keyed query's engine is reachable
+  // through both accessors.
+  EXPECT_NE(internal::QueryAccess::Partitioned(**keyed), nullptr);
+  EXPECT_EQ(internal::QueryAccess::SingleEngine(**keyed),
+            internal::QueryAccess::Partitioned(**keyed));
   EXPECT_EQ(internal::QueryAccess::Core(**keyed),
             static_cast<EngineCore*>(
                 internal::QueryAccess::Partitioned(**keyed)));

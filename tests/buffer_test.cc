@@ -179,13 +179,14 @@ TEST(Buffer, HashIndexProbeFindsMatchingRecords) {
                           .Build());
     return r;
   };
-  b.EnableHashIndex(/*class_idx=*/0, /*field_idx=*/1);
+  b.EnableHashIndex(KeySpec(/*class_idx=*/0, /*field_idx=*/1));
   b.Append(mk("X", 1));
   b.Append(mk("Y", 2));
   b.Append(mk("X", 3));
   ASSERT_TRUE(b.has_hash_index());
-  const auto& xs = b.hash_index()->Probe(Value("X"));
-  EXPECT_EQ(xs, (std::vector<uint64_t>{0, 2}));
+  const auto xs = b.hash_index()->Probe(Value("X"));
+  EXPECT_EQ(std::vector<uint64_t>(xs.begin(), xs.end()),
+            (std::vector<uint64_t>{0, 2}));
   EXPECT_TRUE(b.hash_index()->Probe(Value("Z")).empty());
 }
 
@@ -200,22 +201,56 @@ TEST(Buffer, HashIndexBuiltOverExistingRecords) {
                         .At(1)
                         .Build());
   b.Append(std::move(r));
-  b.EnableHashIndex(0, 1);
+  b.EnableHashIndex(KeySpec(0, 1));
   EXPECT_EQ(b.hash_index()->Probe(Value("X")).size(), 1u);
 }
 
+// Compaction drops purged ids; a key left without live ids disappears.
 TEST(HashIndex, CompactDropsPurgedIds) {
-  HashIndex idx(0, 1);
-  Record r;
-  r.start_ts = 0;
-  r.end_ts = 0;
-  r.slots.assign(1, EventBuilder(StockSchema())
-                        .Set("name", Value("X"))
-                        .At(0)
-                        .Build());
-  for (uint64_t id = 0; id < 10; ++id) idx.Insert(r, id);
+  HashIndex idx(KeySpec(0, 1));
+  const EventPtr x =
+      EventBuilder(StockSchema()).Set("name", Value("X")).At(0).Build();
+  for (uint64_t id = 0; id < 10; ++id) idx.Insert(&x, id);
   idx.Compact(7);
-  EXPECT_EQ(idx.Probe(Value("X")), (std::vector<uint64_t>{7, 8, 9}));
+  const auto live = idx.Probe(Value("X"));
+  EXPECT_EQ(std::vector<uint64_t>(live.begin(), live.end()),
+            (std::vector<uint64_t>{7, 8, 9}));
+  idx.Compact(10);
+  EXPECT_EQ(idx.num_keys(), 0u);
+  EXPECT_EQ(idx.bytes(), 0u);
+}
+
+// The key index is charged to the tracker: after every record is purged
+// the buffer's tracked bytes return to the empty-buffer value, however
+// many distinct keys passed through.
+TEST(Buffer, KeyIndexBytesReturnToEmptyAfterFullPurge) {
+  MemoryTracker t;
+  Buffer b(&t, /*count_event_bytes=*/true, /*arity=*/1);
+  b.EnableHashIndex(KeySpec::Partition({1}));
+  const size_t empty_bytes = b.tracked_bytes();
+  const int64_t empty_tracker = t.current_bytes();
+  // A whole number of chunks, so the full purge retires the last one.
+  constexpr int kRecords = 78 * static_cast<int>(Buffer::kChunkCap);
+  for (int i = 0; i < kRecords; ++i) {
+    std::string name = "K";  // += sidesteps a GCC 12 -Wrestrict false positive
+    name += std::to_string(i % 700);
+    b.AppendEvent(0, EventBuilder(StockSchema())
+                         .Set("name", Value(std::move(name)))
+                         .At(i)
+                         .Build());
+  }
+  const size_t index_bytes = b.hash_index()->bytes();
+  EXPECT_GT(index_bytes, 700u * sizeof(uint64_t));
+  EXPECT_GT(b.tracked_bytes(), empty_bytes + index_bytes);
+  EXPECT_EQ(b.hash_index()->num_keys(), 700u);
+
+  b.PurgeBefore(2500);  // partial: keys stay live
+  EXPECT_EQ(b.hash_index()->num_keys(), 700u);
+  b.PurgeBefore(kRecords);  // full
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.hash_index()->num_keys(), 0u);
+  EXPECT_EQ(b.tracked_bytes(), empty_bytes);
+  EXPECT_EQ(t.current_bytes(), empty_tracker);
 }
 
 }  // namespace

@@ -157,9 +157,10 @@ TEST(Engine, WindowedStatsTrackRatesAndSelectivities) {
 }
 
 TEST(Engine, PartitionedEngineMatchesSingleEngineSemantics) {
-  // T1;T2 with full-coverage name equality: partitioned execution must
-  // produce the same matches as an unpartitioned engine evaluating the
-  // equality predicate directly.
+  // T1;T2 with full-coverage name equality: keyed execution (pairing by
+  // partition key, with and without the key index) must produce the
+  // same matches as an unkeyed engine evaluating the equality predicate
+  // directly.
   const std::string query =
       "PATTERN T1;T2 WHERE T1.name = T2.name WITHIN 50";
   AnalyzerOptions no_part;
@@ -170,16 +171,27 @@ TEST(Engine, PartitionedEngineMatchesSingleEngineSemantics) {
 
   const auto events = RandomStream(400, 41, {"X", "Y", "Z"});
   const auto baseline = RunPlan(direct, LeftDeepPlan(*direct), events);
+  ASSERT_FALSE(baseline.empty());
 
-  auto pe = PartitionedEngine::Create(parted, LeftDeepPlan(*parted));
-  ASSERT_TRUE(pe.ok());
-  std::vector<std::string> keys;
-  (*pe)->SetMatchCallback([&](Match&& m) { keys.push_back(MatchKey(m)); });
-  for (const auto& e : events) (*pe)->Push(e);
-  (*pe)->Finish();
-  std::sort(keys.begin(), keys.end());
-  EXPECT_EQ(keys, baseline);
-  EXPECT_GT((*pe)->num_partitions(), 1u);
+  for (const bool use_index : {true, false}) {
+    EngineOptions options;
+    options.use_hash_indexes = use_index;
+    auto engine = Engine::Create(parted, LeftDeepPlan(*parted), options);
+    ASSERT_TRUE(engine.ok());
+    std::vector<std::string> keys;
+    (*engine)->SetMatchCallback(
+        [&](Match&& m) { keys.push_back(MatchKey(m)); });
+    for (size_t i = 0; i < events.size(); ++i) {
+      (*engine)->Push(events[i]);
+      // Mid-stream, all three keys hold live state.
+      if (i == events.size() / 2) {
+        EXPECT_GT((*engine)->num_partitions(), 1u);
+      }
+    }
+    (*engine)->Finish();
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(keys, baseline) << "use_hash_indexes=" << use_index;
+  }
 }
 
 // Regression (zstream_fuzz case: E0;(E1|E2) with E0.grp = E1.grp): hash

@@ -621,8 +621,9 @@ TEST(NetServer, ReplayOverWireMatchesInProcess) {
   ServerFixture fx(/*shards=*/2, {kStockDdl, kRallyDdl});
   auto client = fx.Connect();
 
-  // Two connections, key-partitioned on the name field (index 1): per-key
-  // order is preserved, so the match set is exact.
+  // Two connections, key-partitioned on the name field (index 1), into
+  // two shards: each shard hears from exactly one connection, so its
+  // stream is timestamp-ordered and the match set is exact.
   NetReplayOptions options;
   options.num_connections = 2;
   options.partition_field = 1;

@@ -15,7 +15,6 @@
 #include <thread>
 
 #include "common/string_util.h"
-#include "exec/partitioned_engine.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics.h"

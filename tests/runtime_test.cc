@@ -7,7 +7,9 @@
 // pre-recorded trace, using CanonicalMatchKey on both sides.
 #include "runtime/stream_runtime.h"
 
+#include <algorithm>
 #include <random>
+#include <sstream>
 #include <thread>
 
 #include "runtime/mpsc_queue.h"
@@ -183,9 +185,11 @@ TEST(StreamRuntime, MultiProducerKeyPartitionedPushIsExact) {
   auto id = (*rt)->RegisterQuery(*stream, kPartitionedQuery, {}, qopts);
   ASSERT_TRUE(id.ok());
 
-  // Four producers, each owning the symbols that hash to it: every
-  // partition key still sees its events in timestamp order, so the
-  // match set must be exact.
+  // Four producers, each owning the symbols that hash to it. They split
+  // with the router's own Value::Hash % 4, so each shard is fed by
+  // exactly one producer and sees its stream in timestamp order: the
+  // match set must be exact. (Producers that do not line up with the
+  // shards: KeyedQueryWithMisalignedProducers below.)
   ConcurrentDriveOptions drive;
   drive.num_producers = 4;
   drive.partition_field = StockSchema()->FieldIndex("name");
@@ -198,6 +202,113 @@ TEST(StreamRuntime, MultiProducerKeyPartitionedPushIsExact) {
   EXPECT_EQ(result.rejected, 0u);
   ASSERT_TRUE((*rt)->Flush().ok());
   EXPECT_EQ(sink.SortedKeys(), expected);
+}
+
+// Three producers into two shards: the producers split the symbols by
+// Value::Hash % 3, the router by Value::Hash % 2, so each shard
+// interleaves several producers' streams. One engine per shard serves
+// all of the shard's keys and needs its input in timestamp order, so the
+// match set is exact with a reorder slack that covers the producers'
+// skew; without one, events behind the engine's frontier are dropped and
+// counted in RuntimeStats::late_dropped.
+TEST(StreamRuntime, KeyedQueryWithMisalignedProducers) {
+  const auto events = ManyNameTrades(20000, 321);
+  const auto expected =
+      SingleThreadedKeys(StockSchema(), kPartitionedQuery, events);
+  ASSERT_FALSE(expected.empty());
+  const int name_field = StockSchema()->FieldIndex("name");
+  ASSERT_GE(name_field, 0);
+  constexpr int kProducers = 3;
+  constexpr int kShards = 2;
+
+  {
+    // Free-running producers can drift apart arbitrarily, so the slack
+    // spans the whole trace.
+    RuntimeOptions options;
+    options.num_shards = kShards;
+    options.reorder_slack =
+        events.back()->timestamp() - events.front()->timestamp() + 1;
+    auto rt = StreamRuntime::Create(options);
+    ASSERT_TRUE(rt.ok());
+    auto stream = (*rt)->AddStream("stock", StockSchema());
+    ASSERT_TRUE(stream.ok());
+    CollectingMatchSink sink;
+    QueryOptions qopts;
+    qopts.sink = &sink;
+    ASSERT_TRUE((*rt)->RegisterQuery(*stream, kPartitionedQuery, {}, qopts)
+                    .ok());
+    ConcurrentDriveOptions drive;
+    drive.num_producers = kProducers;
+    drive.partition_field = name_field;
+    StreamRuntime* raw = rt->get();
+    const StreamId sid = *stream;
+    const auto result = DriveConcurrently(
+        events, drive,
+        [raw, sid](const EventPtr& e) { return raw->Ingest(sid, e); });
+    EXPECT_EQ(result.rejected, 0u);
+    ASSERT_TRUE((*rt)->Flush().ok());
+    EXPECT_EQ(sink.SortedKeys(), expected);
+    EXPECT_EQ((*rt)->Stats().late_dropped, 0u);
+  }
+
+  {
+    // No slack, and a fixed schedule: producer 0 pushes its whole share,
+    // then producer 1, then producer 2. A shard's engine drops every
+    // event older than one it has already seen, whatever its key.
+    std::vector<std::vector<EventPtr>> shares(kProducers);
+    uint64_t expected_late = 0;
+    std::vector<Timestamp> frontier(kShards, kMinTimestamp);
+    for (int p = 0; p < kProducers; ++p) {
+      for (const EventPtr& e : events) {
+        const size_t h = e->value(name_field).Hash();
+        if (static_cast<int>(h % kProducers) != p) continue;
+        shares[static_cast<size_t>(p)].push_back(e);
+        Timestamp& max_ts = frontier[h % kShards];
+        if (e->timestamp() < max_ts) {
+          ++expected_late;
+        } else {
+          max_ts = e->timestamp();
+        }
+      }
+    }
+    ASSERT_GT(expected_late, 0u);
+
+    RuntimeOptions options;
+    options.num_shards = kShards;
+    auto rt = StreamRuntime::Create(options);
+    ASSERT_TRUE(rt.ok());
+    auto stream = (*rt)->AddStream("stock", StockSchema());
+    ASSERT_TRUE(stream.ok());
+    CollectingMatchSink sink;
+    QueryOptions qopts;
+    qopts.sink = &sink;
+    ASSERT_TRUE((*rt)->RegisterQuery(*stream, kPartitionedQuery, {}, qopts)
+                    .ok());
+    for (const auto& share : shares) {
+      EXPECT_EQ((*rt)->IngestBatch(*stream, share), 0u);
+    }
+    ASSERT_TRUE((*rt)->Flush().ok());
+
+    const runtime::RuntimeStats stats = (*rt)->Stats();
+    EXPECT_EQ(stats.late_dropped, expected_late);
+    uint64_t per_shard = 0;
+    for (const auto& s : stats.shards) per_shard += s.late_dropped;
+    EXPECT_EQ(per_shard, expected_late);
+    // The Prometheus counter carries the same per-shard totals.
+    uint64_t scraped = 0;
+    std::istringstream metrics((*rt)->MetricsPrometheus());
+    for (std::string line; std::getline(metrics, line);) {
+      if (line.rfind("zstream_shard_reorder_late_total{", 0) != 0) continue;
+      scraped += std::stoull(line.substr(line.rfind(' ') + 1));
+    }
+    EXPECT_EQ(scraped, expected_late);
+    // The drops lose matches (this query has no negation, so what is
+    // left is a strict subset of the exact set).
+    const auto got = sink.SortedKeys();
+    EXPECT_LT(got.size(), expected.size());
+    EXPECT_TRUE(std::includes(expected.begin(), expected.end(), got.begin(),
+                              got.end()));
+  }
 }
 
 TEST(StreamRuntime, WebLogQuery8MatchesEqualSingleThreaded) {

@@ -775,17 +775,27 @@ TEST(FuzzBugRegression, PartitionSpecSizeMismatch) {
       << Dump(report);
 }
 
-// Bug #3: PartitionedEngine's lazy instantiation swallowed
+// Bug #3: the former per-key engine's lazy instantiation swallowed
 // Engine::Create errors, running partitions on unvalidated plans.
-// Engine::Create now runs the full verifier: a corrupt plan is an
-// error at build time, never a silently wrong partition.
+// Keyed queries now build one Engine up front, and Engine::Create runs
+// the full verifier: a corrupt plan is an error at build time, never a
+// silently wrong partition.
 TEST(FuzzBugRegression, EngineCreateRejectsCorruptPlan) {
   const PatternPtr p = MustAnalyze(
       "PATTERN T1;T2 WHERE T1.name = T2.name WITHIN 10");
+  ASSERT_TRUE(p->partition.has_value());
   const PhysicalPlan corrupt{PhysNode::Seq(L(0), L(0)), 0.0};
   const auto engine = Engine::Create(p, corrupt);
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kSemanticError);
+  // The same through the public compile path a keyed query takes.
+  CompileOptions options;
+  options.strategy = PlanStrategy::kShape;
+  options.shape = "T1 ; T1";
+  ZStream zs(StockSchema());
+  EXPECT_FALSE(
+      zs.Compile("PATTERN T1;T2 WHERE T1.name = T2.name WITHIN 10", options)
+          .ok());
 }
 
 // ---------------------------------------------------------------------
