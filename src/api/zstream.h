@@ -10,6 +10,8 @@
 //       "WITHIN 200 RETURN IBM, Sun, Oracle");
 //   zstream::Query* query = ddl->query;
 //   query->SetMatchCallback([](zstream::Match&& m) { ... });
+//     // `m` is lent for the call only: read it, or move from / copy it
+//     // to keep it; do not call back into the query from here.
 //   for (const auto& e : events) query->Push(e);
 //   query->Finish();
 //

@@ -147,16 +147,14 @@ ZS_HOT RecordId Buffer::AppendEvent(int class_idx, const EventPtr& event) {
   return id;
 }
 
-ZS_HOT RecordId Buffer::AppendMerged(const RecordRef& a, const RecordRef& b,
-                                     Timestamp start_ts, Timestamp end_ts) {
+ZS_HOT RecordId Buffer::AppendMerged(const RecordRef& a, const RecordRef* b,
+                                     Timestamp start_ts, Timestamp end_ts,
+                                     const EventGroupPtr* group) {
   uint32_t row = 0;
   Chunk* c = AppendRow(start_ts, end_ts, &row);
   EventPtr* dst = &c->slots[row * static_cast<size_t>(arity_)];
-  for (int i = 0; i < arity_; ++i) {
-    dst[i] = a.slots[i] != nullptr ? a.slots[i] : b.slots[i];
-  }
-  const EventGroupPtr* g =
-      a.has_group() ? a.group_sp : (b.has_group() ? b.group_sp : nullptr);
+  for (int i = 0; i < arity_; ++i) dst[i] = UnionSlot(a, b, i);
+  const EventGroupPtr* g = group != nullptr ? group : UnionGroup(a, b);
   if (g != nullptr) {
     EnsureGroupColumn(*c);
     c->groups[row] = *g;
@@ -165,53 +163,6 @@ ZS_HOT RecordId Buffer::AppendMerged(const RecordRef& a, const RecordRef& b,
   const RecordId id = next_id_;
   FinishAppend(*c, row, id);
   return id;
-}
-
-ZS_HOT RecordId Buffer::AppendRef(const RecordRef& r) {
-  uint32_t row = 0;
-  Chunk* c = AppendRow(r.start_ts, r.end_ts, &row);
-  EventPtr* dst = &c->slots[row * static_cast<size_t>(arity_)];
-  for (int i = 0; i < arity_; ++i) dst[i] = r.slots[i];
-  if (r.has_group()) {
-    EnsureGroupColumn(*c);
-    c->groups[row] = *r.group_sp;
-    ChargeGroup(*r.group_sp);
-  }
-  const RecordId id = next_id_;
-  FinishAppend(*c, row, id);
-  return id;
-}
-
-RecordId Buffer::AppendSlots(Timestamp start_ts, Timestamp end_ts,
-                             const EventPtr* slots, int num_slots,
-                             const EventGroupPtr& group) {
-  ZS_DCHECK(num_slots == arity_);
-  uint32_t row = 0;
-  Chunk* c = AppendRow(start_ts, end_ts, &row);
-  EventPtr* dst = &c->slots[row * static_cast<size_t>(arity_)];
-  for (int i = 0; i < num_slots; ++i) dst[i] = slots[i];
-  if (group != nullptr) {
-    EnsureGroupColumn(*c);
-    c->groups[row] = group;
-    ChargeGroup(group);
-  }
-  const RecordId id = next_id_;
-  FinishAppend(*c, row, id);
-  return id;
-}
-
-ZS_HOT RecordRef Buffer::Get(RecordId id) const {
-  ZS_DCHECK(id >= base_id_ && id < next_id_);
-  const size_t off = static_cast<size_t>(id - chunks_.front()->first_id);
-  const Chunk& c = *chunks_[off / kChunkCap];
-  const size_t row = off % kChunkCap;
-  RecordRef ref;
-  ref.start_ts = c.start[row];
-  ref.end_ts = c.end[row];
-  ref.slots = &c.slots[row * static_cast<size_t>(arity_)];
-  ref.num_slots = arity_;
-  ref.group_sp = c.groups.empty() ? nullptr : &c.groups[row];
-  return ref;
 }
 
 void Buffer::ReleaseRow(Chunk& c, uint32_t row) {

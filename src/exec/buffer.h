@@ -23,6 +23,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "common/macros.h"
 #include "common/memory_tracker.h"
 #include "exec/hash_index.h"
 #include "exec/record.h"
@@ -60,6 +61,21 @@ struct RecordRef {
   }
 };
 
+/// Slot `i` of the union of `a` and `b` (disjoint class sets, `a` wins
+/// ties; a null `b` contributes nothing).
+inline const EventPtr& UnionSlot(const RecordRef& a, const RecordRef* b,
+                                 int i) {
+  return a.slots[i] != nullptr || b == nullptr ? a.slots[i] : b->slots[i];
+}
+
+/// The Kleene group of the union of `a` and `b` (at most one of them
+/// carries one), or null.
+inline const EventGroupPtr* UnionGroup(const RecordRef& a,
+                                       const RecordRef* b) {
+  if (a.has_group()) return a.group_sp;
+  return b != nullptr && b->has_group() ? b->group_sp : nullptr;
+}
+
 /// \brief Ordered columnar record store with watermark-based consumption,
 /// EAT purging and an optional hash index (equality join or partition key).
 class Buffer {
@@ -91,26 +107,21 @@ class Buffer {
   /// with span [ts, ts]. Requires a construction-time arity.
   RecordId AppendEvent(int class_idx, const EventPtr& event);
 
-  /// Appends the slot-wise union of two records (disjoint class sets,
-  /// `a` wins ties) with an explicit result span. The union is copied
-  /// straight from the source chunks; no intermediate record exists.
-  RecordId AppendMerged(const RecordRef& a, const RecordRef& b,
-                        Timestamp start_ts, Timestamp end_ts);
-
-  /// Appends a copy of an existing record view (possibly from another
-  /// buffer).
-  RecordId AppendRef(const RecordRef& r);
-
-  /// Appends from an owning slot array (Kleene assembly scratch).
-  RecordId AppendSlots(Timestamp start_ts, Timestamp end_ts,
-                       const EventPtr* slots, int num_slots,
-                       const EventGroupPtr& group);
+  /// Appends the slot-wise union of `a` and `b` (see UnionSlot; a null
+  /// `b` copies `a` alone) with an explicit result span. The Kleene
+  /// group is `group` when given (a KSEQ's fresh group), else the
+  /// union's. Copied straight from the source chunks (possibly of other
+  /// buffers); no intermediate record exists.
+  RecordId AppendMerged(const RecordRef& a, const RecordRef* b,
+                        Timestamp start_ts, Timestamp end_ts,
+                        const EventGroupPtr* group = nullptr);
 
   bool empty() const { return base_id_ == next_id_; }
   size_t size() const { return static_cast<size_t>(next_id_ - base_id_); }
   RecordId base_id() const { return base_id_; }
   RecordId end_id() const { return next_id_; }
 
+  /// The record with sequence id `id` (base_id() <= id < end_id()).
   RecordRef Get(RecordId id) const;
 
   /// Consumption watermark: first id not yet consumed by this buffer's
@@ -200,6 +211,21 @@ class Buffer {
   /// once, not per holder (Tables 3/5 accounting).
   std::unordered_map<const EventGroup*, uint32_t> group_refs_;
 };
+
+// Inline: the pair loops call it once per candidate pair.
+ZS_HOT inline RecordRef Buffer::Get(RecordId id) const {
+  ZS_DCHECK(id >= base_id_ && id < next_id_);
+  const size_t off = static_cast<size_t>(id - chunks_.front()->first_id);
+  const Chunk& c = *chunks_[off / kChunkCap];
+  const size_t row = off % kChunkCap;
+  RecordRef ref;
+  ref.start_ts = c.start[row];
+  ref.end_ts = c.end[row];
+  ref.slots = &c.slots[row * static_cast<size_t>(arity_)];
+  ref.num_slots = arity_;
+  ref.group_sp = c.groups.empty() ? nullptr : &c.groups[row];
+  return ref;
+}
 
 }  // namespace zstream
 

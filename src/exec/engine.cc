@@ -602,35 +602,47 @@ ZS_HOT void Engine::AssemblyRound() {
   }
 #endif
   DrainRoot(eat);
+  ClearMatch();
   ++assembly_rounds_;
   if (rebuild_round_pending_) rebuild_round_pending_ = false;
   MaybeAdapt();
 }
 
-ZS_HOT bool Engine::NeedsPayload() const {
-  return static_cast<bool>(callback_) || cur_trace_ != 0;
-}
-
 ZS_HOT void Engine::OnMatch(Timestamp start_ts, Timestamp end_ts,
-                            const EventPtr* slots, int num_slots,
-                            const EventGroupPtr* group) {
+                            const RecordRef& a, const RecordRef* b,
+                            const EventGroup* group) {
   // Replicates DrainRoot's EAT filter: operators already skip stale
   // inputs, this is the defensive boundary for the streamed path.
   if (start_ts < round_eat_) return;
   ++num_matches_;
-  if (cur_trace_ != 0) {
-    RecordMatchTrace(cur_trace_, start_ts, end_ts, slots, num_slots,
-                     group != nullptr ? group->get() : nullptr);
+  if (!callback_ && cur_trace_ == 0) return;  // count-only: no payload
+  // Compose the union into the lent Match. Element-wise shared_ptr
+  // assignment skips the refcount when a slot keeps its event.
+  match_.span = TimeSpan{start_ts, end_ts};
+  const int n = a.num_slots;
+  if (match_.slots.size() != static_cast<size_t>(n)) ClearMatch();
+  for (int i = 0; i < n; ++i) {
+    match_.slots[static_cast<size_t>(i)] = UnionSlot(a, b, i);
   }
-  if (callback_) {
-    Match m;
-    m.span = TimeSpan{start_ts, end_ts};
-    if (slots != nullptr) {
-      m.slots.assign(slots, slots + num_slots);  // zs-hotpath-allow(match payload copy, only with a consumer installed)
-    }
-    if (group != nullptr) m.group = *group;
-    callback_(std::move(m));
+  if (group != nullptr) {
+    ShareGroup(*group);
+  } else if (const EventGroupPtr* g = UnionGroup(a, b)) {
+    match_.group = *g;
+  } else {
+    match_.group.reset();
   }
+  if (cur_trace_ != 0) RecordMatchTrace(cur_trace_, match_);
+  if (callback_) callback_(std::move(match_));
+}
+
+void Engine::ClearMatch() {
+  match_.slots.assign(static_cast<size_t>(pattern_->num_classes()),
+                      EventPtr());
+  match_.group.reset();
+}
+
+void Engine::ShareGroup(const EventGroup& group) {
+  match_.group = std::make_shared<const EventGroup>(group);
 }
 
 ZS_HOT void Engine::DrainRoot(Timestamp eat) {
@@ -639,7 +651,7 @@ ZS_HOT void Engine::DrainRoot(Timestamp eat) {
   Buffer& out = *root_->output();
   for (RecordId id = out.watermark(); id < out.end_id(); ++id) {
     const RecordRef rec = out.Get(id);
-    OnMatch(rec.start_ts, rec.end_ts, rec.slots, rec.num_slots, rec.group_sp);
+    OnMatch(rec.start_ts, rec.end_ts, rec, nullptr, nullptr);
   }
   out.SetWatermark(out.end_id());
   if (!root_->is_leaf()) {
@@ -649,9 +661,7 @@ ZS_HOT void Engine::DrainRoot(Timestamp eat) {
   }
 }
 
-void Engine::RecordMatchTrace(uint64_t trace_id, Timestamp start_ts,
-                              Timestamp end_ts, const EventPtr* slots,
-                              int num_slots, const EventGroup* group) {
+void Engine::RecordMatchTrace(uint64_t trace_id, const Match& match) {
   const uint64_t now = obs::MonotonicNanos();
   obs::TraceRecord(obs::CurrentLane(), obs::SpanKind::kMatch, trace_id, now,
                    now, options_.label.c_str(), plan_fingerprint_);
@@ -670,8 +680,8 @@ void Engine::RecordMatchTrace(uint64_t trace_id, Timestamp start_ts,
   obs::MatchProvenance p;
   p.trace_id = trace_id;
   p.plan_fingerprint = plan_fingerprint_;
-  p.match_start_ts = start_ts;
-  p.match_end_ts = end_ts;
+  p.match_start_ts = match.span.start;
+  p.match_end_ts = match.span.end;
   obs::CopyLabel(p.label, options_.label.c_str());
   obs::CopyLabel(p.op_path, op_path_);
   auto add_event = [&p](const EventPtr& e) {
@@ -682,9 +692,9 @@ void Engine::RecordMatchTrace(uint64_t trace_id, Timestamp start_ts,
     }
     ++p.num_events;
   };
-  for (int i = 0; i < num_slots; ++i) add_event(slots[i]);
-  if (group != nullptr) {
-    for (const EventPtr& e : *group) add_event(e);
+  for (const EventPtr& e : match.slots) add_event(e);
+  if (match.group != nullptr) {
+    for (const EventPtr& e : *match.group) add_event(e);
   }
   obs::Tracer::Global().RecordProvenance(p);
 }

@@ -88,7 +88,8 @@ struct EngineOptions {
 ///
 /// The engine is its own MatchSink: the plan root streams completed
 /// matches straight into OnMatch (count / trace / callback) instead of
-/// materializing them into a root buffer that DrainRoot would discard.
+/// materializing them into a root buffer that DrainRoot would discard,
+/// and the callback borrows one reused Match (see MatchCallback).
 ///
 /// `final` lets calls through an `Engine*` inline the EngineCore
 /// counters; zbench/src/workloads.cc builds with -Werror and relies on
@@ -204,17 +205,22 @@ class Engine final : public EngineCore, private MatchSink {
   void MaybeAdapt();
   void LogSlowEvent(uint64_t elapsed_ns);
 
-  // MatchSink: the plan root calls straight into the engine.
-  bool NeedsPayload() const override;
-  void OnMatch(Timestamp start_ts, Timestamp end_ts, const EventPtr* slots,
-               int num_slots, const EventGroupPtr* group) override;
+  // MatchSink: the plan root calls straight into the engine, which
+  // counts the match and, for a consumer or a sampled trace, composes it
+  // into match_.
+  void OnMatch(Timestamp start_ts, Timestamp end_ts, const RecordRef& a,
+               const RecordRef* b, const EventGroup* group) override;
+  /// Nulls match_'s slots (keeping their storage; re-sized only after a
+  /// consumer moved them out) and drops its group.
+  void ClearMatch();
+  /// The Kleene path's per-match allocation: shares a copy of a KSEQ's
+  /// borrowed group into match_.
+  void ShareGroup(const EventGroup& group);
 
   /// Cold path for sampled matches: records the kMatch span and the
   /// match's provenance (contributing event ids, operator path, plan
   /// fingerprint) into the global tracer.
-  void RecordMatchTrace(uint64_t trace_id, Timestamp start_ts,
-                        Timestamp end_ts, const EventPtr* slots,
-                        int num_slots, const EventGroup* group);
+  void RecordMatchTrace(uint64_t trace_id, const Match& match);
 
   PatternPtr pattern_;
   EngineOptions options_;
@@ -240,13 +246,19 @@ class Engine final : public EngineCore, private MatchSink {
   std::unique_ptr<ReorderStage> reorder_;
 
   MatchCallback callback_;
+  /// The Match lent to callback_ for every match (see MatchCallback):
+  /// composed in place by OnMatch, so delivery allocates nothing and a
+  /// slot holding the same event as in the previous match costs no
+  /// refcount. Cleared at the end of each assembly round so it never
+  /// pins an event past its purge.
+  Match match_;
   int pending_in_batch_ = 0;
   Timestamp max_ts_seen_ = kMinTimestamp;
   /// EAT of the assembly round in flight: OnMatch drops matches that
   /// start before it (mirrors DrainRoot's filter for buffered roots).
   Timestamp round_eat_ = kMinTimestamp;
-  /// Trace id sampled at round start; nonzero makes sinks assemble
-  /// payloads so provenance can be recorded.
+  /// Trace id sampled at round start; nonzero makes OnMatch compose the
+  /// payload so provenance can be recorded.
   uint64_t cur_trace_ = 0;
   uint64_t late_events_ = 0;
   uint64_t events_pushed_ = 0;

@@ -24,7 +24,11 @@ class Pattern;
 struct PhysicalPlan;
 class StatsCatalog;
 
-/// Consumes one completed match (moved in).
+/// Consumes one completed match. The engine lends one reused Match for
+/// every call: it is valid for the duration of the call only. Move from
+/// it (slots, group) or copy it to keep it; the engine overwrites every
+/// field for the next match and clears it after each assembly round. The
+/// callback must not re-enter the engine (Push, Finish, SwitchPlan, ...).
 using MatchCallback = std::function<void(Match&&)>;
 
 /// \brief A borrowed span of events for columnar ingest. The pointers

@@ -73,10 +73,8 @@ void KSeqNode::SplitPreds() {
 EvalInput KSeqNode::BaseView(const RecordRef* sr, const RecordRef& er) {
   const int n = er.num_slots;
   for (int i = 0; i < n; ++i) {
-    const Event* raw = er.slots[i] != nullptr
-                           ? er.slots[i].get()
-                           : (sr != nullptr ? sr->slots[i].get() : nullptr);
-    base_slots_[static_cast<size_t>(i)] = EventPtr(EventPtr(), raw);
+    base_slots_[static_cast<size_t>(i)] =
+        EventPtr(EventPtr(), UnionSlot(er, sr, i).get());
   }
   EvalInput in;
   in.slots = base_slots_.data();
@@ -104,7 +102,7 @@ bool KSeqNode::MidQualifies(const EventPtr& m, const EvalInput& base) {
 }
 
 void KSeqNode::EmitOne(const RecordRef* sr, const RecordRef& er,
-                       EventGroup group) {
+                       const EventGroup& group) {
   const Timestamp group_start =
       group.empty() ? er.start_ts : group.front()->timestamp();
   const Timestamp start_ts = sr != nullptr ? sr->start_ts : group_start;
@@ -120,23 +118,12 @@ void KSeqNode::EmitOne(const RecordRef* sr, const RecordRef& er,
       if (!EvalOnePred(p, view)) return;
     }
   }
-  if (sink_ != nullptr && !sink_->NeedsPayload()) {
-    sink_->OnMatch(start_ts, end_ts, nullptr, 0, nullptr);
-    ++records_emitted_;
-    return;
-  }
-  const int n = er.num_slots;
-  for (int i = 0; i < n; ++i) {
-    emit_slots_[static_cast<size_t>(i)] =
-        er.slots[i] != nullptr
-            ? er.slots[i]
-            : (sr != nullptr ? sr->slots[i] : EventPtr());
-  }
-  const EventGroupPtr gp = std::make_shared<EventGroup>(std::move(group));
   if (sink_ != nullptr) {
-    sink_->OnMatch(start_ts, end_ts, emit_slots_.data(), n, &gp);
+    // The sink shares the group only when it needs a payload.
+    sink_->OnMatch(start_ts, end_ts, er, sr, &group);
   } else {
-    output_.AppendSlots(start_ts, end_ts, emit_slots_.data(), n, gp);
+    const EventGroupPtr gp = std::make_shared<const EventGroup>(group);
+    output_.AppendMerged(er, sr, start_ts, end_ts, &gp);
   }
   ++records_emitted_;
 }
@@ -163,18 +150,17 @@ void KSeqNode::EmitGroups(const RecordRef* sr, const RecordRef& er,
 
   switch (kind_) {
     case KleeneKind::kStar:
-      EmitOne(sr, er, std::move(qualifying_));
+      EmitOne(sr, er, qualifying_);
       break;
     case KleeneKind::kPlus:
-      if (!qualifying_.empty()) EmitOne(sr, er, std::move(qualifying_));
+      if (!qualifying_.empty()) EmitOne(sr, er, qualifying_);
       break;
     case KleeneKind::kCount: {
       const size_t cc = static_cast<size_t>(count_);
-      if (qualifying_.size() < cc) break;
       for (size_t i = 0; i + cc <= qualifying_.size(); ++i) {
-        EmitOne(sr, er,
-                EventGroup(qualifying_.begin() + static_cast<long>(i),
-                           qualifying_.begin() + static_cast<long>(i + cc)));
+        const auto first = qualifying_.begin() + static_cast<long>(i);
+        window_group_.assign(first, first + static_cast<long>(cc));
+        EmitOne(sr, er, window_group_);
       }
       break;
     }
@@ -259,7 +245,8 @@ void KSeqNode::AssembleAtPatternEnd(Timestamp eat) {
         if (!EvalOnePred(p, base)) return;
       }
       // Walk back over qualifying closure events ending at mr.
-      EventGroup group;
+      EventGroup& group = qualifying_;
+      group.clear();
       const EventPtr& m_last = mr.slots[kc];
       if (!MidQualifies(m_last, base)) return;
       group.push_back(m_last);
@@ -281,7 +268,7 @@ void KSeqNode::AssembleAtPatternEnd(Timestamp eat) {
           group.size() != static_cast<size_t>(count_)) {
         return;
       }
-      EmitOne(sr, mr, std::move(group));
+      EmitOne(sr, mr, group);
     };
 
     if (sbuf == nullptr) {
@@ -308,6 +295,10 @@ void KSeqNode::Assemble(Timestamp eat) {
   } else {
     AssembleAtPatternEnd(eat);
   }
+  // The scratch groups keep their capacity but must not pin events past
+  // their purge.
+  qualifying_.clear();
+  window_group_.clear();
 }
 
 }  // namespace zstream

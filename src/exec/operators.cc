@@ -18,8 +18,7 @@ OperatorNode::OperatorNode(const Pattern* pattern, PhysOp op,
       output_(tracker, leaf_buffer, pattern->num_classes()),
       group_class_(pattern->KleeneClass()),
       window_(pattern->window),
-      scratch_(static_cast<size_t>(pattern->num_classes())),
-      emit_slots_(static_cast<size_t>(pattern->num_classes())) {}
+      scratch_(static_cast<size_t>(pattern->num_classes())) {}
 
 void OperatorNode::AttachPredicate(ExprPtr pred, int pred_idx) {
   AttachedPred p;
@@ -64,9 +63,8 @@ ZS_HOT EvalInput OperatorNode::MergedView(const RecordRef& a,
   // refcounts; rejected pairs cost nothing beyond the predicate itself.
   const int n = a.num_slots;
   for (int i = 0; i < n; ++i) {
-    const Event* raw =
-        a.slots[i] != nullptr ? a.slots[i].get() : b.slots[i].get();
-    scratch_[static_cast<size_t>(i)] = EventPtr(EventPtr(), raw);
+    scratch_[static_cast<size_t>(i)] =
+        EventPtr(EventPtr(), UnionSlot(a, &b, i).get());
   }
   EvalInput in;
   in.slots = scratch_.data();
@@ -76,42 +74,15 @@ ZS_HOT EvalInput OperatorNode::MergedView(const RecordRef& a,
   return in;
 }
 
-ZS_HOT void OperatorNode::EmitMerged(const RecordRef& a, const RecordRef& b,
-                                     Timestamp start_ts, Timestamp end_ts) {
+ZS_HOT void OperatorNode::Emit(const RecordRef& a, const RecordRef* b,
+                               Timestamp start_ts, Timestamp end_ts) {
   if (sink_ != nullptr) {
-    if (!sink_->NeedsPayload()) {
-      sink_->OnMatch(start_ts, end_ts, nullptr, 0, nullptr);
-      return;
-    }
-    // The sink copies what it keeps, so it must see owning pointers:
-    // stage the union in the owning scratch vector (the inputs' chunk
-    // slots are owning; the MergedView aliases are not).
-    const int n = a.num_slots;
-    for (int i = 0; i < n; ++i) {
-      emit_slots_[static_cast<size_t>(i)] =
-          a.slots[i] != nullptr ? a.slots[i] : b.slots[i];
-    }
-    const EventGroupPtr* g =
-        (a.group_sp != nullptr && *a.group_sp != nullptr) ? a.group_sp
-                                                          : b.group_sp;
-    sink_->OnMatch(start_ts, end_ts, emit_slots_.data(), n, g);
+    // The records' chunk slots are owning and outlive the call; the sink
+    // composes (or just counts) the union itself.
+    sink_->OnMatch(start_ts, end_ts, a, b, nullptr);
     return;
   }
   output_.AppendMerged(a, b, start_ts, end_ts);
-}
-
-ZS_HOT void OperatorNode::EmitRef(const RecordRef& r) {
-  if (sink_ != nullptr) {
-    if (!sink_->NeedsPayload()) {
-      sink_->OnMatch(r.start_ts, r.end_ts, nullptr, 0, nullptr);
-    } else {
-      // r's slots live in chunk storage (owning) and stay valid for the
-      // duration of the call; the sink copies from them directly.
-      sink_->OnMatch(r.start_ts, r.end_ts, r.slots, r.num_slots, r.group_sp);
-    }
-    return;
-  }
-  output_.AppendRef(r);
 }
 
 // ---------------------------------------------------------------------
@@ -267,8 +238,7 @@ ZS_HOT void SeqNode::TryCombine(const RecordRef& l, const RecordRef& r) {
   if (!PassesGuards(l, r)) return;
   // Evaluate before materializing: a rejected pair allocates nothing.
   if (!preds_.empty() && !EvalPreds(MergedView(l, r))) return;
-  EmitMerged(l, r, std::min(l.start_ts, r.start_ts),
-             std::max(l.end_ts, r.end_ts));
+  Emit(l, &r, std::min(l.start_ts, r.start_ts), std::max(l.end_ts, r.end_ts));
   ++records_emitted_;
 }
 
@@ -364,12 +334,12 @@ ZS_HOT void NSeqNode::Assemble(Timestamp eat) {
             return true;
           }
           if (!preds_.empty() && !EvalPreds(MergedView(nr, orec))) return true;
-          EmitMerged(nr, orec, orec.start_ts, orec.end_ts);
+          Emit(nr, &orec, orec.start_ts, orec.end_ts);
           emitted = true;
           return false;
         });
     if (!emitted) {
-      EmitRef(orec);  // (NULL, Rr)
+      Emit(orec);  // (NULL, Rr)
     }
     ++records_emitted_;
   }
@@ -416,9 +386,9 @@ ZS_HOT void ConjNode::CombineWithEarlier(const RecordRef& pivot,
       if (!EvalPreds(view)) return;
     }
     if (pivot_is_left) {
-      EmitMerged(pivot, br, start, end);
+      Emit(pivot, &br, start, end);
     } else {
-      EmitMerged(br, pivot, start, end);
+      Emit(br, &pivot, start, end);
     }
     ++records_emitted_;
   };
@@ -507,7 +477,7 @@ ZS_HOT void DisjNode::Assemble(Timestamp eat) {
     ++pairs_tried_;
     if (rec.start_ts < eat) continue;
     if (!EvalPreds(rec.ToEvalInput(group_class_))) continue;
-    EmitRef(rec);
+    Emit(rec);
     ++records_emitted_;
   }
   lbuf.SetWatermark(li);
@@ -547,7 +517,7 @@ ZS_HOT void NegFilterNode::Assemble(Timestamp eat) {
     const EventPtr& a = rec.slots[nc - 1];
     const EventPtr& c = rec.slots[nc + 1];
     if (a == nullptr && c == nullptr) {
-      EmitRef(rec);
+      Emit(rec);
       ++records_emitted_;
       continue;
     }
@@ -567,7 +537,7 @@ ZS_HOT void NegFilterNode::Assemble(Timestamp eat) {
                      return true;
                    });
     if (!negated) {
-      EmitRef(rec);
+      Emit(rec);
       ++records_emitted_;
     }
   }

@@ -48,19 +48,18 @@
 namespace zstream {
 
 /// \brief Streaming consumer of completed matches (installed on the plan
-/// root by the Engine). `slots` point at owning storage that remains
-/// valid for the duration of the call; `group` is null when the match
-/// carries no Kleene group.
+/// root by the Engine). The root hands over the records it is joining:
+/// the match is the slot-wise union of `a` and `b` (see UnionSlot; `b`
+/// is null for pass-through roots) over [start_ts, end_ts]. Its Kleene
+/// group is `group` when non-null (a KSEQ's freshly collected group),
+/// else the union's (UnionGroup). Everything is borrowed for the call:
+/// the sink copies what it keeps, and only when it needs a payload.
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
-  /// When false the sink only counts: emitters may pass null slots and
-  /// group and skip assembling the payload entirely (the count-only
-  /// benchmark path pays zero refcount traffic per match).
-  virtual bool NeedsPayload() const { return true; }
   virtual void OnMatch(Timestamp start_ts, Timestamp end_ts,
-                       const EventPtr* slots, int num_slots,
-                       const EventGroupPtr* group) = 0;
+                       const RecordRef& a, const RecordRef* b,
+                       const EventGroup* group) = 0;
 };
 
 /// \brief Base class for all plan-tree nodes.
@@ -138,12 +137,12 @@ class OperatorNode {
   /// until the next MergedView call on this node.
   EvalInput MergedView(const RecordRef& a, const RecordRef& b);
 
-  /// Emits the union of `a` and `b` with an explicit span: streams to
-  /// the sink when installed, otherwise materializes into output().
-  void EmitMerged(const RecordRef& a, const RecordRef& b, Timestamp start_ts,
-                  Timestamp end_ts);
-  /// Emits a copy of an existing record (pass-through operators).
-  void EmitRef(const RecordRef& r);
+  /// Emits the union of `a` and `b` (null `b`: a copy of `a`, for
+  /// pass-through operators) with an explicit span: streams to the sink
+  /// when installed, otherwise materializes into output().
+  void Emit(const RecordRef& a, const RecordRef* b, Timestamp start_ts,
+            Timestamp end_ts);
+  void Emit(const RecordRef& r) { Emit(r, nullptr, r.start_ts, r.end_ts); }
 
   /// The partition key of `r`, or null when the pattern is unkeyed.
   const Value* PartitionKeyOf(const RecordRef& r) const {
@@ -177,8 +176,6 @@ class OperatorNode {
   std::vector<OperatorNode*> children_;
   /// Non-owning alias slots backing MergedView.
   std::vector<EventPtr> scratch_;
-  /// Owning slots staged for sink emission of merged results.
-  std::vector<EventPtr> emit_slots_;
 };
 
 /// \brief Leaf buffer for one event class, with pushed-down single-class
@@ -352,7 +349,8 @@ class KSeqNode : public OperatorNode {
   /// Builds the base view (er slots, filled from sr) into base_slots_.
   EvalInput BaseView(const RecordRef* sr, const RecordRef& er);
   bool MidQualifies(const EventPtr& m, const EvalInput& base);
-  void EmitOne(const RecordRef* sr, const RecordRef& er, EventGroup group);
+  void EmitOne(const RecordRef* sr, const RecordRef& er,
+               const EventGroup& group);
 
   OperatorNode* start_;  // nullable
   LeafNode* closure_;
@@ -370,7 +368,10 @@ class KSeqNode : public OperatorNode {
   /// separate from scratch_ so MidQualifies can probe while the base is
   /// live.
   std::vector<EventPtr> base_slots_;
-  EventGroup qualifying_;  // reused across EmitGroups calls
+  /// Reused group scratch: the qualifying closure events of one
+  /// (start, end) pair, and one count-n window of them.
+  EventGroup qualifying_;
+  EventGroup window_group_;
 };
 
 template <typename Fn>
