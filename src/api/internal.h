@@ -11,8 +11,9 @@
 namespace zstream::internal {
 
 struct QueryAccess {
-  /// The uniform shard-facing interface (exec/engine_core.h).
-  static EngineCore* Core(Query& query) { return query.core(); }
+  /// The engine backing the query; the same as SingleEngine, kept under
+  /// this name for the repo benchmark (zbench).
+  static Engine* Core(Query& query) { return query.engine_.get(); }
 
   /// The engine backing the query, keyed or not.
   static Engine* SingleEngine(Query& query) { return query.engine_.get(); }

@@ -58,15 +58,29 @@ Result<PhysicalPlan> BuildPlan(const PatternPtr& pattern,
 // Query
 // ---------------------------------------------------------------------
 
-void Query::Push(const EventPtr& event) { core()->Push(event); }
+void Query::Push(const EventPtr& event) {
+  if (reorder_ == nullptr) {
+    engine_->Push(event);
+    return;
+  }
+  engine_->PushBatch(reorder_->Push(EventBatch{&event, 1}));
+}
 
-void Query::Finish() { core()->Finish(); }
+void Query::Finish() {
+  if (reorder_ != nullptr) engine_->PushBatch(reorder_->Flush());
+  engine_->Finish();
+}
 
 void Query::SetMatchCallback(MatchCallback cb) {
-  core()->SetMatchCallback(std::move(cb));
+  engine_->SetMatchCallback(std::move(cb));
 }
 
 uint64_t Query::num_matches() const { return engine_->num_matches(); }
+
+uint64_t Query::late_events() const {
+  return engine_->late_events() +
+         (reorder_ != nullptr ? reorder_->late_dropped() : 0);
+}
 
 std::string Query::Explain() const {
   std::ostringstream os;
@@ -84,7 +98,10 @@ std::string Query::Explain() const {
 
 std::string Query::CurrentPlan() const { return engine_->ExplainPlan(); }
 
-std::string Query::ExplainAnalyze() const { return engine_->ExplainAnalyze(); }
+std::string Query::ExplainAnalyze() const {
+  return engine_->ExplainAnalyze(
+      reorder_ != nullptr ? reorder_->late_dropped() : 0);
+}
 
 uint64_t Query::plan_switches() const { return engine_->plan_switches(); }
 
@@ -128,6 +145,9 @@ Result<std::unique_ptr<Query>> ZStream::CompileParsed(
   query->stats_provided_ = options.stats.has_value();
   ZS_ASSIGN_OR_RETURN(query->engine_,
                       Engine::Create(pattern, plan, options.engine));
+  if (options.reorder_slack > 0) {
+    query->reorder_ = std::make_unique<ReorderStage>(options.reorder_slack);
+  }
   return query;
 }
 
@@ -190,7 +210,7 @@ Result<DdlResult> ZStream::Execute(const std::string& statement,
       compiled->name_ = name;
       // Metric labels and slow-event logs identify the query by its
       // catalog name (unless the caller already chose a label).
-      if (options.engine.label.empty()) compiled->core()->SetLabel(name);
+      if (options.engine.label.empty()) compiled->engine_->SetLabel(name);
       ZS_RETURN_IF_ERROR(catalog_.AddQuery(QueryInfo{
           name, stream, stmt.query_text, compiled->pattern_}));
       result.name = name;

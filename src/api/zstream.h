@@ -39,6 +39,7 @@
 #include "api/catalog.h"
 #include "api/pattern_builder.h"
 #include "exec/engine.h"
+#include "exec/reorder.h"
 #include "opt/planner.h"
 #include "query/analyzer.h"
 #include "query/ddl.h"
@@ -66,6 +67,12 @@ struct CompileOptions {
   PlanStrategy strategy = PlanStrategy::kOptimal;
   std::string shape;  // for PlanStrategy::kShape
   EngineOptions engine;
+  /// Bounded out-of-orderness absorbed by the Query's ingress reorder
+  /// stage (Section 4.1) before its engine; 0 means input must arrive in
+  /// timestamp order, and out-of-order events are dropped and counted.
+  /// Session queries only: StreamRuntime::RegisterQuery rejects a
+  /// nonzero value (its shards reorder with RuntimeOptions::reorder_slack).
+  Duration reorder_slack = 0;
   AnalyzerOptions analyzer;
   /// Statistics for the cost-based planner; when absent, uniform
   /// defaults are used (rate 1, selectivity defaults).
@@ -78,11 +85,18 @@ struct CompileOptions {
 /// then pairs records by key).
 class Query {
  public:
+  /// Streams one event in (through the reorder stage, when the query
+  /// has a slack); may trigger assembly rounds.
   void Push(const EventPtr& event);
+  /// Releases the reorder stage and flushes the engine.
   void Finish();
   void SetMatchCallback(MatchCallback cb);
 
   uint64_t num_matches() const;
+  /// Events dropped as late: by the reorder stage (beyond the slack) or
+  /// by the engine (below its timestamp frontier). EXPLAIN ANALYZE's
+  /// `late=`.
+  uint64_t late_events() const;
   const Pattern& pattern() const { return *pattern_; }
   const PhysicalPlan& plan() const { return plan_; }
   /// Catalog name ("" for ad-hoc Compile()d queries).
@@ -114,16 +128,13 @@ class Query {
 
   Query() = default;
 
-  /// The shard-facing interface of the engine backing this query (see
-  /// exec/engine_core.h). Internal: reach it through
-  /// internal::QueryAccess.
-  EngineCore* core() { return engine_.get(); }
-
   std::string name_;
   std::string stream_;
   PatternPtr pattern_;
   PhysicalPlan plan_;
   bool stats_provided_ = false;
+  /// Ingress reorder stage; null without CompileOptions::reorder_slack.
+  std::unique_ptr<ReorderStage> reorder_;
   std::unique_ptr<Engine> engine_;
 };
 

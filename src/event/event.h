@@ -58,6 +58,14 @@ class Event {
 
 using EventPtr = std::shared_ptr<const Event>;
 
+/// \brief A borrowed span of events: the one ingest shape (a single
+/// event is a batch of one). The pointers stay owned by the producer;
+/// the span must outlive the call it is passed to.
+struct EventBatch {
+  const EventPtr* data = nullptr;
+  size_t count = 0;
+};
+
 /// \brief Convenience builder for tests, examples and generators.
 ///
 ///   auto e = EventBuilder(schema).Set("name", "IBM").Set("price", 95)

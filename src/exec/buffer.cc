@@ -6,12 +6,6 @@
 
 namespace zstream {
 
-namespace {
-/// Cached recycled chunks per buffer; enough to absorb the clear/refill
-/// cycle of internal right-side buffers without unbounded hoarding.
-constexpr size_t kMaxFreeChunks = 8;
-}  // namespace
-
 Buffer::~Buffer() { Clear(); }
 
 size_t Buffer::ChunkOverheadBytes(const Chunk& c) const {
@@ -90,7 +84,7 @@ ZS_HOT Buffer::Chunk* Buffer::AppendRow(Timestamp start_ts, Timestamp end_ts,
                                         uint32_t* row_out) {
   ZS_DCHECK(arity_ > 0);
   ZS_DCHECK(end_ts >= last_end_ts_ || empty());
-  Chunk* c = chunks_.empty() ? nullptr : chunks_.back().get();
+  Chunk* c = head_ == chunks_.size() ? nullptr : chunks_.back().get();
   if (c == nullptr || c->count == kChunkCap) {
     c = &AcquireChunk();
   }
@@ -182,23 +176,33 @@ void Buffer::ReleaseRow(Chunk& c, uint32_t row) {
 }
 
 void Buffer::RetireFrontChunk() {
-  std::unique_ptr<Chunk> c = std::move(chunks_.front());
-  chunks_.pop_front();
-  Unaccount(ChunkOverheadBytes(*c));
-  if (free_chunks_.size() < kMaxFreeChunks) {
-    free_chunks_.push_back(std::move(c));
+  std::unique_ptr<Chunk> c = std::move(chunks_[head_++]);
+  if (2 * head_ >= chunks_.size()) {
+    chunks_.erase(chunks_.begin(),
+                  chunks_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
+  Unaccount(ChunkOverheadBytes(*c));
+  // Every retired chunk is kept: a fresh chunk is allocated only when
+  // the pool is empty, so live + pooled chunks never exceed the
+  // buffer's high-water mark of live chunks.
+  free_chunks_.push_back(std::move(c));
 }
 
 void Buffer::PurgeBefore(Timestamp eat) {
   const RecordId first = base_id_;
   while (base_id_ < next_id_) {
-    Chunk& front = *chunks_.front();
+    Chunk& front = *chunks_[head_];
     const size_t row = static_cast<size_t>(base_id_ - front.first_id);
     if (front.start[row] >= eat) break;
     ReleaseRow(front, static_cast<uint32_t>(row));
     ++base_id_;
-    if (base_id_ - front.first_id == kChunkCap) RetireFrontChunk();
+    // A drained buffer also returns its partial chunk, so the next
+    // append starts a chunk at row 0: refilling from empty reproduces
+    // the same chunk layout, and needs no more chunks, as last time.
+    if (base_id_ - front.first_id == kChunkCap || base_id_ == next_id_) {
+      RetireFrontChunk();
+    }
   }
   if (!index_.has_value() || base_id_ == first) return;
   // Compact once as many records were purged as remain (or none
@@ -214,14 +218,14 @@ void Buffer::PurgeBefore(Timestamp eat) {
 
 void Buffer::Clear() {
   while (base_id_ < next_id_) {
-    Chunk& front = *chunks_.front();
+    Chunk& front = *chunks_[head_];
     const size_t row = static_cast<size_t>(base_id_ - front.first_id);
     ReleaseRow(front, static_cast<uint32_t>(row));
     ++base_id_;
     if (base_id_ - front.first_id == kChunkCap) RetireFrontChunk();
   }
   // A trailing partially-filled chunk survives the loop above.
-  while (!chunks_.empty()) RetireFrontChunk();
+  while (head_ < chunks_.size()) RetireFrontChunk();
   ZS_DCHECK(group_refs_.empty());
   if (index_.has_value()) {
     index_->Clear();

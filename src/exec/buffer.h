@@ -19,9 +19,9 @@
 #define ZSTREAM_EXEC_BUFFER_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/memory_tracker.h"
@@ -192,9 +192,14 @@ class Buffer {
   MemoryTracker* tracker_;
   bool count_event_bytes_;
   int arity_;
-  std::deque<std::unique_ptr<Chunk>> chunks_;
-  /// Recycled chunks (columns allocated, rows cleared): steady-state
-  /// append/purge cycles reuse these instead of allocating.
+  /// Live chunks are chunks_[head_..]. Retiring advances head_; the
+  /// retired prefix is erased once it is half the vector, so cycling
+  /// chunks never reallocates (a deque allocates a node every 64).
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  size_t head_ = 0;
+  /// Recycled chunks (columns allocated, rows cleared; not accounted):
+  /// steady-state append/purge cycles reuse these instead of
+  /// allocating. Bounded by the high-water mark of live chunks.
   std::vector<std::unique_ptr<Chunk>> free_chunks_;
   RecordId base_id_ = 0;
   RecordId next_id_ = 0;
@@ -215,8 +220,8 @@ class Buffer {
 // Inline: the pair loops call it once per candidate pair.
 ZS_HOT inline RecordRef Buffer::Get(RecordId id) const {
   ZS_DCHECK(id >= base_id_ && id < next_id_);
-  const size_t off = static_cast<size_t>(id - chunks_.front()->first_id);
-  const Chunk& c = *chunks_[off / kChunkCap];
+  const size_t off = static_cast<size_t>(id - chunks_[head_]->first_id);
+  const Chunk& c = *chunks_[head_ + off / kChunkCap];
   const size_t row = off % kChunkCap;
   RecordRef ref;
   ref.start_ts = c.start[row];

@@ -58,11 +58,6 @@ Engine::Engine(PatternPtr pattern, const EngineOptions& options,
     owned_tracker_ = std::make_unique<MemoryTracker>();
     tracker_ = owned_tracker_.get();
   }
-  if (options_.reorder_slack > 0) {
-    reorder_ = std::make_unique<ReorderStage>(
-        options_.reorder_slack,
-        [this](const EventPtr& e) { PushOrdered(e); });
-  }
   // Hash-equality routing must avoid classes that may be unbound in a
   // record (see BuildNode).
   optional_class_ = pattern_->OptionalClasses();
@@ -422,67 +417,25 @@ Result<OperatorNode*> Engine::BuildNode(const PhysNodePtr& node,
   return Status::Internal("unreachable physical operator");
 }
 
-ZS_HOT void Engine::Offer(const EventPtr& event) {
-  ++events_pushed_;
-  if (event->timestamp() < max_ts_seen_) {
-    // Leaf buffers require timestamp order; without a reorder stage,
-    // late events are dropped (and counted) rather than corrupting the
-    // end-timestamp invariant.
-    ++late_events_;
-    return;
-  }
-  max_ts_seen_ = std::max(max_ts_seen_, event->timestamp());
-  if (windowed_stats_ != nullptr) windowed_stats_->OnEvent(event->timestamp());
-  for (auto& leaf : leaves_) {
-    leaf->Offer(event);
-  }
-}
-
-ZS_HOT void Engine::PushOrdered(const EventPtr& event) {
+ZS_HOT void Engine::PushBatch(const EventBatch& batch) {
 #ifndef ZSTREAM_OBS_STRIPPED
-  if (options_.slow_event_ns > 0) {
-    const uint64_t t0 = obs::MonotonicNanos();
-    Offer(event);
-    if (++pending_in_batch_ >= options_.batch_size) {
-      AssemblyRound();
-    }
-    const uint64_t elapsed = obs::MonotonicNanos() - t0;
-    if (elapsed >= static_cast<uint64_t>(options_.slow_event_ns)) {
-      LogSlowEvent(elapsed);
-    }
-    return;
-  }
+  const uint64_t t0 = options_.slow_event_ns > 0 ? obs::MonotonicNanos() : 0;
 #endif
-  Offer(event);
-  if (++pending_in_batch_ >= options_.batch_size) {
-    AssemblyRound();
-  }
-}
-
-ZS_HOT void Engine::Push(const EventPtr& event) {
-  if (reorder_ != nullptr) {
-    reorder_->Push(event);
-    return;
-  }
-  PushOrdered(event);
-}
-
-ZS_HOT void Engine::OfferSpan(const EventPtr* events, size_t n) {
+  const EventPtr* events = batch.data;
   size_t i = 0;
-  while (i < n) {
-    // Longest in-order run starting at i: offered to every leaf as one
+  while (i < batch.count) {
+    if (pending_in_batch_ >= options_.batch_size) AssemblyRound();
+    const size_t room = static_cast<size_t>(
+        std::max(options_.batch_size - pending_in_batch_, 1));
+    const size_t end = std::min(batch.count, i + room);
+    // Longest in-order run starting at i, offered to every leaf as one
     // columnar batch.
     size_t j = i;
-    Timestamp run_max = max_ts_seen_;
-    while (j < n) {
-      const Timestamp t = events[j]->timestamp();
-      if (t < run_max) break;
-      run_max = t;
+    while (j < end && events[j]->timestamp() >= max_ts_seen_) {
+      max_ts_seen_ = events[j]->timestamp();
       ++j;
     }
     if (j > i) {
-      events_pushed_ += j - i;
-      max_ts_seen_ = run_max;
       if (windowed_stats_ != nullptr) {
         for (size_t k = i; k < j; ++k) {
           windowed_stats_->OnEvent(events[k]->timestamp());
@@ -491,42 +444,30 @@ ZS_HOT void Engine::OfferSpan(const EventPtr* events, size_t n) {
       for (auto& leaf : leaves_) {
         leaf->OfferBatch(events + i, static_cast<int>(j - i));
       }
-      i = j;
     }
-    // Late stragglers inside the span: dropped and counted, like Offer.
-    while (i < n && events[i]->timestamp() < max_ts_seen_) {
-      ++events_pushed_;
+    // Stragglers below the frontier: leaf buffers require timestamp
+    // order, so they are dropped and counted rather than corrupting the
+    // end-timestamp invariant.
+    while (j < end && events[j]->timestamp() < max_ts_seen_) {
       ++late_events_;
-      ++i;
+      ++j;
     }
-  }
-}
-
-ZS_HOT void Engine::PushBatch(const EventBatch& batch) {
-  if (reorder_ != nullptr || options_.slow_event_ns > 0) {
-    // Reordering and per-event slow-event timing are inherently
-    // record-at-a-time; fall back.
-    for (size_t i = 0; i < batch.count; ++i) Push(batch.data[i]);
-    return;
-  }
-  size_t i = 0;
-  while (i < batch.count) {
-    if (pending_in_batch_ >= options_.batch_size) {
-      AssemblyRound();
-      continue;
-    }
-    const size_t room =
-        static_cast<size_t>(options_.batch_size - pending_in_batch_);
-    const size_t take = std::min(batch.count - i, room);
-    OfferSpan(batch.data + i, take);
-    pending_in_batch_ += static_cast<int>(take);
-    i += take;
+    events_pushed_ += j - i;
+    pending_in_batch_ += static_cast<int>(j - i);
+    i = j;
   }
   if (pending_in_batch_ >= options_.batch_size) AssemblyRound();
+#ifndef ZSTREAM_OBS_STRIPPED
+  if (options_.slow_event_ns > 0) {
+    const uint64_t elapsed = obs::MonotonicNanos() - t0;
+    if (elapsed >= static_cast<uint64_t>(options_.slow_event_ns)) {
+      LogSlowEvent(elapsed, batch.count);
+    }
+  }
+#endif
 }
 
 void Engine::Finish() {
-  if (reorder_ != nullptr) reorder_->Flush();
   AssemblyRound();
   PurgeExpired();
 }
@@ -799,7 +740,7 @@ size_t Engine::num_partitions() const {
   return keys.size();
 }
 
-std::string Engine::ExplainAnalyze() const {
+std::string Engine::ExplainAnalyze(uint64_t ingress_late) const {
   std::ostringstream os;
   if (!options_.label.empty()) os << "query=" << options_.label << " ";
   os << "plan=" << plan_.Explain(*pattern_);
@@ -813,19 +754,19 @@ std::string Engine::ExplainAnalyze() const {
   os << "\n";
   os << "events_pushed=" << events_pushed_ << " matches=" << num_matches_
      << " rounds=" << assembly_rounds_ << " plan_switches=" << plan_switches_
-     << " late=" << late_events();
+     << " late=" << late_events_ + ingress_late;
   if (options_.slow_event_ns > 0) os << " slow_events=" << slow_events_;
   os << "\n" << RenderNodeProfile(Profile());
   return os.str();
 }
 
-void Engine::LogSlowEvent(uint64_t elapsed_ns) {
+void Engine::LogSlowEvent(uint64_t elapsed_ns, size_t batch_size) {
   ++slow_events_;
   const std::string& name = options_.label.empty() ? "?" : options_.label;
   obs::Registry::Default()
       .GetCounter("zstream_slow_events_total", {{"query", name}},
-                  "Events whose processing exceeded the slow-event "
-                  "threshold")
+                  "Ingest batches (a single event is a batch of one) whose "
+                  "processing exceeded the slow-event threshold")
       ->Inc();
   // At most one log line per second per engine; the rest are counted
   // and reported with the next line.
@@ -845,8 +786,9 @@ void Engine::LogSlowEvent(uint64_t elapsed_ns) {
     }
   }
   std::ostringstream line;
-  line << "slow event in query '" << name << "': "
-       << static_cast<double>(elapsed_ns) / 1e6 << " ms (threshold "
+  line << "slow event in query '" << name << "': batch of " << batch_size
+       << " event(s) took " << static_cast<double>(elapsed_ns) / 1e6
+       << " ms (threshold "
        << static_cast<double>(options_.slow_event_ns) / 1e6 << " ms)";
   if (hottest != nullptr) {
     line << ", hottest node " << PhysOpName(hottest->op()) << " (cum "

@@ -11,6 +11,12 @@
 //      are purged, and operators assemble bottom-up; completed matches
 //      drain from the root.
 //
+// Ingest has one shape: PushBatch takes a span of events in timestamp
+// order (a single event is a batch of one) and admits each in-order run
+// into every leaf as a columnar batch. Events older than one already
+// seen are dropped and counted; bounded disorder is absorbed before the
+// engine, by a ReorderStage at ingress (exec/reorder.h).
+//
 // Plan switching (Section 5.3) preserves leaf buffers, discards internal
 // state, and rewinds non-trigger watermarks for one rebuild round, so a
 // switch loses no matches and duplicates none.
@@ -32,9 +38,8 @@
 #include <vector>
 
 #include "common/memory_tracker.h"
-#include "exec/engine_core.h"
+#include "exec/node_profile.h"
 #include "exec/operators.h"
-#include "exec/reorder.h"
 #include "opt/adaptive.h"
 #include "opt/stats.h"
 #include "plan/pattern.h"
@@ -52,6 +57,13 @@ struct Match {
   std::string ToString() const;
 };
 
+/// Consumes one completed match. The engine lends one reused Match for
+/// every call: it is valid for the duration of the call only. Move from
+/// it (slots, group) or copy it to keep it; the engine overwrites every
+/// field for the next match and clears it after each assembly round. The
+/// callback must not re-enter the engine (Push, Finish, SwitchPlan, ...).
+using MatchCallback = std::function<void(Match&&)>;
+
 /// Evaluates the pattern's RETURN clause against a match.
 std::vector<Value> ProjectMatch(const Pattern& pattern, const Match& match);
 
@@ -65,36 +77,35 @@ struct EngineOptions {
   AdaptiveOptions adaptive_options;
   /// Collect runtime statistics even when not adapting.
   bool collect_stats = false;
-  /// Bounded out-of-orderness tolerated on Push (Section 4.1's
-  /// reordering operator); 0 means input must arrive in order, and
-  /// out-of-order events are dropped and counted.
-  Duration reorder_slack = 0;
   /// Per-node assembly timing (EXPLAIN ANALYZE `time=` column): two
   /// clock reads per operator per assembly round. Off by default; the
   /// per-node counters are always on (and near-free, see
   /// bench_obs_overhead).
   bool profile = false;
-  /// Slow-event log threshold in wall nanoseconds: a Push whose
-  /// processing (including any assembly round it triggers) exceeds this
-  /// emits one rate-limited ZS_LOG(Warn) naming the query and its
-  /// hottest plan node. 0 disables; > 0 implies per-node timing.
+  /// Slow-event log threshold in wall nanoseconds: a PushBatch call
+  /// whose processing (including the assembly rounds it triggers)
+  /// exceeds this counts one slow event and emits one rate-limited
+  /// ZS_LOG(Warn) naming the query and its hottest plan node. A Push is
+  /// a batch of one, so it is timed per event. 0 disables; > 0 implies
+  /// per-node timing.
   int64_t slow_event_ns = 0;
   /// Query name used in slow-event logs and metric labels.
   std::string label;
 };
 
 /// \brief Query engine: one operator tree per query (per shard), keyed
-/// or not.
+/// or not. Single-threaded: a session Query or one runtime shard worker
+/// drives each instance.
 ///
 /// The engine is its own MatchSink: the plan root streams completed
 /// matches straight into OnMatch (count / trace / callback) instead of
 /// materializing them into a root buffer that DrainRoot would discard,
 /// and the callback borrows one reused Match (see MatchCallback).
 ///
-/// `final` lets calls through an `Engine*` inline the EngineCore
-/// counters; zbench/src/workloads.cc builds with -Werror and relies on
-/// that (GCC's -Wnonnull flags its null-guarded virtual call otherwise).
-class Engine final : public EngineCore, private MatchSink {
+/// The counters are inline non-virtual members; zbench/src/workloads.cc
+/// builds with -Werror and relies on that (GCC's -Wnonnull flags its
+/// null-guarded call through a virtual accessor).
+class Engine final : private MatchSink {
  public:
   using MatchCallback = zstream::MatchCallback;
 
@@ -107,66 +118,69 @@ class Engine final : public EngineCore, private MatchSink {
   ~Engine() override;
   ZS_DISALLOW_COPY_AND_ASSIGN(Engine);
 
-  /// Streams one event in; may trigger an assembly round.
-  void Push(const EventPtr& event) override;
+  /// The one ingest path: admits each in-order run of the span into
+  /// every leaf as a columnar batch (term-major predicate admission) and
+  /// runs an assembly round at every EngineOptions::batch_size events.
+  /// An event older than one already seen is dropped and counted in
+  /// late_events(). Timed as one unit for slow-event logging.
+  void PushBatch(const EventBatch& batch);
 
-  /// Columnar ingest: offers in-order runs of the span to every leaf as
-  /// a batch (term-major predicate admission), triggering assembly
-  /// rounds at batch boundaries exactly as repeated Push would.
-  void PushBatch(const EventBatch& batch) override;
-
-  /// Offers an event to the leaves without round-triggering.
-  void Offer(const EventPtr& event);
+  /// A batch of one.
+  void Push(const EventPtr& event) { PushBatch(EventBatch{&event, 1}); }
 
   /// Forces an assembly round (used at batch boundaries / stream end).
   void AssemblyRound();
 
-  /// Flushes the reorder stage (if any) and any pending partial batch,
-  /// then frees every record too old to join a future match.
-  void Finish() override;
+  /// Runs an assembly round for any pending partial batch, then frees
+  /// every record too old to join a future match. The engine remains
+  /// usable afterwards; Finish is a barrier, not a shutdown.
+  void Finish();
 
   /// Installs a match consumer; without one, matches are only counted.
-  void SetMatchCallback(MatchCallback cb) override {
-    callback_ = std::move(cb);
-  }
+  void SetMatchCallback(MatchCallback cb) { callback_ = std::move(cb); }
 
   /// Replaces the physical plan between assembly rounds (Section 5.3).
-  Status SwitchPlan(const PhysicalPlan& plan) override;
+  Status SwitchPlan(const PhysicalPlan& plan);
 
-  /// Windowed stats as a catalog; `defaults` when not collecting stats.
-  StatsCatalog StatsSnapshot(const StatsCatalog& defaults) const override;
+  /// Windowed runtime statistics as a planner catalog; components with
+  /// too few observations fall back to `defaults`, and so does the whole
+  /// catalog when the engine is not collecting stats. Used by the
+  /// runtime's merged re-planning.
+  StatsCatalog StatsSnapshot(const StatsCatalog& defaults) const;
 
-  const Pattern& pattern() const override { return *pattern_; }
+  const Pattern& pattern() const { return *pattern_; }
   const PhysicalPlan& current_plan() const { return plan_; }
   std::string ExplainPlan() const { return plan_.Explain(*pattern_); }
 
-  /// Live per-node counter tree (see node_profile.h).
-  NodeProfile Profile() const override;
+  /// Live per-plan-node counters for EXPLAIN ANALYZE (see
+  /// node_profile.h); the runtime merges its shards' profiles.
+  NodeProfile Profile() const;
   /// Renders the plan tree annotated with live counters/timings, plus
-  /// engine totals and predicted-vs-observed cost.
-  std::string ExplainAnalyze() const;
+  /// engine totals and predicted-vs-observed cost. `ingress_late` adds
+  /// the drops of a reorder stage in front of the engine to `late=`.
+  std::string ExplainAnalyze(uint64_t ingress_late = 0) const;
 
-  void SetLabel(const std::string& label) override {
-    options_.label = label;
-  }
+  /// Human-readable query name for slow-event logs and metric labels.
+  void SetLabel(const std::string& label) { options_.label = label; }
   const std::string& label() const { return options_.label; }
 
-  /// FNV-1a 64 of the installed plan's Explain rendering (refreshed on
-  /// every Build/SwitchPlan); see EngineCore::plan_fingerprint.
-  uint64_t plan_fingerprint() const override { return plan_fingerprint_; }
+  /// FNV-1a 64 hash of the installed plan's Explain rendering, refreshed
+  /// on every Build/SwitchPlan. Spans and match provenance
+  /// (obs/trace.h) carry it so a match stays attributable to the exact
+  /// plan shape that produced it even after an adaptive switch.
+  uint64_t plan_fingerprint() const { return plan_fingerprint_; }
 
-  uint64_t num_matches() const override { return num_matches_; }
-  uint64_t events_pushed() const override { return events_pushed_; }
+  uint64_t num_matches() const { return num_matches_; }
+  uint64_t events_pushed() const { return events_pushed_; }
   uint64_t assembly_rounds() const { return assembly_rounds_; }
   uint64_t plan_switches() const { return plan_switches_; }
-  /// Events dropped for arriving out of order beyond the slack (by the
-  /// reorder stage, or below the timestamp frontier without one).
-  uint64_t late_events() const override {
-    return late_events_ + (reorder_ != nullptr ? reorder_->late_dropped() : 0);
-  }
-  /// Events whose processing exceeded EngineOptions::slow_event_ns.
+  /// Events dropped for arriving below the engine's timestamp frontier
+  /// (the engine needs its input in timestamp order across all keys).
+  uint64_t late_events() const { return late_events_; }
+  /// PushBatch calls whose processing exceeded
+  /// EngineOptions::slow_event_ns.
   uint64_t slow_events() const { return slow_events_; }
-  MemoryTracker& memory() override { return *tracker_; }
+  MemoryTracker& memory() { return *tracker_; }
   WindowedClassStats* windowed_stats() { return windowed_stats_.get(); }
 
   /// Total operator input combinations tried in the current plan
@@ -185,10 +199,6 @@ class Engine final : public EngineCore, private MatchSink {
 
   Status Build(const PhysicalPlan& plan, bool initial,
                bool pre_verified = false);
-  void PushOrdered(const EventPtr& event);
-  /// Offers an ordered span to every leaf (batch admission); late
-  /// events inside the span are dropped and counted like Offer does.
-  void OfferSpan(const EventPtr* events, size_t n);
   Result<OperatorNode*> BuildNode(const PhysNodePtr& node,
                                   std::vector<ExprPtr>* unattached);
   void AttachPredicates(OperatorNode* op, std::vector<ExprPtr>* unattached);
@@ -203,7 +213,7 @@ class Engine final : public EngineCore, private MatchSink {
   void KeyOperator(OperatorNode* op,
                    std::initializer_list<OperatorNode*> probed);
   void MaybeAdapt();
-  void LogSlowEvent(uint64_t elapsed_ns);
+  void LogSlowEvent(uint64_t elapsed_ns, size_t batch_size);
 
   // MatchSink: the plan root calls straight into the engine, which
   // counts the match and, for a consumer or a sampled trace, composes it
@@ -243,7 +253,6 @@ class Engine final : public EngineCore, private MatchSink {
 
   std::unique_ptr<WindowedClassStats> windowed_stats_;
   std::unique_ptr<AdaptiveController> adaptive_;
-  std::unique_ptr<ReorderStage> reorder_;
 
   MatchCallback callback_;
   /// The Match lent to callback_ for every match (see MatchCallback):
@@ -284,8 +293,10 @@ class Engine final : public EngineCore, private MatchSink {
   uint32_t prov_in_trace_ = 0;
 };
 
-/// Kept only for the repo benchmark's compile contract (zbench names the
-/// type); keyed and unkeyed queries both run on Engine.
+/// Kept only for the repo benchmark's compile contract (zbench names
+/// these types); keyed and unkeyed queries, in a session or on a runtime
+/// shard, all run on Engine.
+using EngineCore = Engine;
 using PartitionedEngine = Engine;
 
 }  // namespace zstream

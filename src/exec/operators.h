@@ -186,13 +186,10 @@ class LeafNode : public OperatorNode {
 
   int class_idx() const { return class_idx_; }
 
-  /// Offers an incoming primitive event; returns true when admitted.
-  bool Offer(const EventPtr& event);
-
-  /// Columnar admission: evaluates the pushed-down predicates term-major
-  /// over the whole batch (compiled single-class shapes narrow a
-  /// selection mask), then appends survivors. Falls back to per-event
-  /// admission when a predicate did not compile.
+  /// The one admission entry: evaluates the pushed-down predicates
+  /// term-major over the whole batch (compiled single-class shapes
+  /// narrow a selection mask), then appends survivors. Falls back to
+  /// per-event Admit when a predicate did not compile.
   void OfferBatch(const EventPtr* events, int n);
 
   /// Primitive events offered (before predicate admission); admitted
@@ -212,7 +209,7 @@ class LeafNode : public OperatorNode {
     std::optional<CompiledPredicate> compiled;
   };
 
-  bool Admit(const EventPtr& event);
+  void Admit(const EventPtr& event);
   void Accept(const EventPtr& event);
   bool NullKey(const Event& event) const {
     return key_field_ >= 0 && event.value(key_field_).is_null();

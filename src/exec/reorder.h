@@ -6,62 +6,76 @@
 //    leaf buffer."
 //
 // This stage buffers events inside a bounded disorder window (`slack`)
-// and releases them in timestamp order: when an event with timestamp t
-// arrives, every buffered event with timestamp <= t - slack can no
-// longer be displaced and is emitted. Events arriving more than `slack`
-// late are dropped and counted.
+// and releases them in timestamp order: once the stage has seen
+// timestamp t, every buffered event with timestamp <= t - slack can no
+// longer be displaced and is released. Events arriving later than that
+// are dropped and counted.
+//
+// It sits only at ingress, in front of an Engine (whose input must be
+// in timestamp order): in a session Query (CompileOptions::reorder_slack)
+// and per stream in each runtime shard (RuntimeOptions::reorder_slack).
 #ifndef ZSTREAM_EXEC_REORDER_H_
 #define ZSTREAM_EXEC_REORDER_H_
 
-#include <functional>
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "common/timestamp.h"
 #include "event/event.h"
 
 namespace zstream {
 
-/// \brief Bounded out-of-orderness buffer that feeds a sink in
-/// timestamp order.
+/// \brief Bounded out-of-orderness buffer with a span interface: push a
+/// span in, get back the span of events it released, in timestamp order.
 class ReorderStage {
  public:
-  using Sink = std::function<void(const EventPtr&)>;
+  explicit ReorderStage(Duration slack) : slack_(slack) {}
 
-  ReorderStage(Duration slack, Sink sink)
-      : slack_(slack), sink_(std::move(sink)) {}
-
-  /// Accepts an event with bounded disorder; emits every event whose
-  /// position can no longer change.
-  void Push(const EventPtr& event) {
-    const Timestamp ts = event->timestamp();
-    if (ts < emitted_through_) {
-      ++late_dropped_;
-      return;
+  /// Accepts a span with bounded disorder and releases every event whose
+  /// position can no longer change. The whole span goes in before
+  /// anything is released. The returned span is valid until the next
+  /// Push or Flush.
+  EventBatch Push(const EventBatch& in) {
+    released_.clear();
+    for (size_t i = 0; i < in.count; ++i) {
+      const EventPtr& event = in.data[i];
+      const Timestamp ts = event->timestamp();
+      if (ts < emitted_through_) {
+        ++late_dropped_;
+        continue;
+      }
+      pending_.emplace(ts, event);
+      max_seen_ = std::max(max_seen_, ts);
     }
-    pending_.emplace(ts, event);
-    max_seen_ = std::max(max_seen_, ts);
-    EmitThrough(max_seen_ - slack_);
+    if (pending_.empty()) return EventBatch{};
+    return ReleaseThrough(max_seen_ - slack_);
   }
 
-  /// Emits everything still pending (stream end).
-  void Flush() { EmitThrough(kMaxTimestamp); }
+  /// Releases everything still pending (stream end or a flush barrier).
+  EventBatch Flush() {
+    released_.clear();
+    return ReleaseThrough(kMaxTimestamp);
+  }
 
   /// Events dropped for arriving later than the slack allows.
   uint64_t late_dropped() const { return late_dropped_; }
   size_t pending() const { return pending_.size(); }
 
  private:
-  void EmitThrough(Timestamp bound) {
+  EventBatch ReleaseThrough(Timestamp bound) {
     while (!pending_.empty() && pending_.begin()->first <= bound) {
       emitted_through_ = pending_.begin()->first;
-      sink_(pending_.begin()->second);
+      released_.push_back(std::move(pending_.begin()->second));
       pending_.erase(pending_.begin());
     }
+    return EventBatch{released_.data(), released_.size()};
   }
 
   Duration slack_;
-  Sink sink_;
   std::multimap<Timestamp, EventPtr> pending_;
+  /// The span handed back by the last Push/Flush; capacity reused.
+  std::vector<EventPtr> released_;
   Timestamp max_seen_ = kMinTimestamp;
   Timestamp emitted_through_ = kMinTimestamp;
   uint64_t late_dropped_ = 0;

@@ -93,99 +93,40 @@ bool CompiledPredicate::SingleClass(int c) const {
   return true;
 }
 
-ZS_HOT bool CompiledPredicate::TermPasses(const Term& t, const EvalInput& in) {
-  // Operand resolution matching Expr::Eval: out-of-range or unbound
-  // slots yield null, and a null on either side fails the comparison
-  // (EvalCompare returns null, which is not truthy).
-  Value time_l, time_r;
-  const Value* a = nullptr;
-  const Value* b = nullptr;
-  switch (t.lhs.kind) {
-    case Operand::Kind::kLit:
-      a = &t.lhs.literal;
-      break;
-    case Operand::Kind::kAttr: {
-      if (t.lhs.class_idx >= in.num_slots) return false;
-      const EventPtr& ev = in.slots[t.lhs.class_idx];
-      if (ev == nullptr) return false;
-      a = &ev->value(t.lhs.field_idx);
-      break;
-    }
-    case Operand::Kind::kTime: {
-      if (t.lhs.class_idx >= in.num_slots) return false;
-      const EventPtr& ev = in.slots[t.lhs.class_idx];
-      if (ev == nullptr) return false;
-      time_l = Value(static_cast<int64_t>(ev->timestamp()));
-      a = &time_l;
-      break;
-    }
-  }
-  switch (t.rhs.kind) {
-    case Operand::Kind::kLit:
-      b = &t.rhs.literal;
-      break;
-    case Operand::Kind::kAttr: {
-      if (t.rhs.class_idx >= in.num_slots) return false;
-      const EventPtr& ev = in.slots[t.rhs.class_idx];
-      if (ev == nullptr) return false;
-      b = &ev->value(t.rhs.field_idx);
-      break;
-    }
-    case Operand::Kind::kTime: {
-      if (t.rhs.class_idx >= in.num_slots) return false;
-      const EventPtr& ev = in.slots[t.rhs.class_idx];
-      if (ev == nullptr) return false;
-      time_r = Value(static_cast<int64_t>(ev->timestamp()));
-      b = &time_r;
-      break;
-    }
-  }
-  if (a == nullptr || b == nullptr) return false;
-  if (a->is_null() || b->is_null()) return false;
-  const auto cmp = a->Compare(*b);
-  if (!cmp.ok()) return false;
-  return RelationHolds(t.op, *cmp);
+// Operand resolution matching Expr::Eval: an unbound (or out-of-range)
+// slot yields null, and a null on either side fails the comparison
+// (EvalCompare returns null, which is not truthy).
+template <typename EventOf>
+ZS_HOT inline const Value* CompiledPredicate::Resolve(const Operand& o,
+                                                      const EventOf& event_of,
+                                                      Value* time) {
+  if (o.kind == Operand::Kind::kLit) return &o.literal;
+  const Event* ev = event_of(o.class_idx);
+  if (ev == nullptr) return nullptr;
+  if (o.kind == Operand::Kind::kAttr) return &ev->value(o.field_idx);
+  *time = Value(static_cast<int64_t>(ev->timestamp()));
+  return time;
 }
 
-ZS_HOT bool CompiledPredicate::TermPassesEvent(const Term& t,
-                                               const Event& event) {
+template <typename EventOf>
+ZS_HOT inline bool CompiledPredicate::TermPasses(const Term& t,
+                                                 const EventOf& event_of) {
   Value time_l, time_r;
-  const Value* a = nullptr;
-  const Value* b = nullptr;
-  switch (t.lhs.kind) {
-    case Operand::Kind::kLit:
-      a = &t.lhs.literal;
-      break;
-    case Operand::Kind::kAttr:
-      a = &event.value(t.lhs.field_idx);
-      break;
-    case Operand::Kind::kTime:
-      time_l = Value(static_cast<int64_t>(event.timestamp()));
-      a = &time_l;
-      break;
-  }
-  switch (t.rhs.kind) {
-    case Operand::Kind::kLit:
-      b = &t.rhs.literal;
-      break;
-    case Operand::Kind::kAttr:
-      b = &event.value(t.rhs.field_idx);
-      break;
-    case Operand::Kind::kTime:
-      time_r = Value(static_cast<int64_t>(event.timestamp()));
-      b = &time_r;
-      break;
-  }
-  if (a == nullptr || b == nullptr) return false;
-  if (a->is_null() || b->is_null()) return false;
+  const Value* a = Resolve(t.lhs, event_of, &time_l);
+  if (a == nullptr || a->is_null()) return false;
+  const Value* b = Resolve(t.rhs, event_of, &time_r);
+  if (b == nullptr || b->is_null()) return false;
   const auto cmp = a->Compare(*b);
   if (!cmp.ok()) return false;
   return RelationHolds(t.op, *cmp);
 }
 
 ZS_HOT bool CompiledPredicate::Eval(const EvalInput& in) const {
+  const auto slot = [&in](int c) -> const Event* {
+    return c < in.num_slots ? in.slots[c].get() : nullptr;
+  };
   for (const Term& t : terms_) {
-    if (!TermPasses(t, in)) return false;
+    if (!TermPasses(t, slot)) return false;
   }
   return true;
 }
@@ -194,7 +135,9 @@ ZS_HOT void CompiledPredicate::FilterBatch(const EventPtr* events, int n,
                                            uint8_t* mask) const {
   for (const Term& t : terms_) {
     for (int j = 0; j < n; ++j) {
-      if (mask[j] != 0 && !TermPassesEvent(t, *events[j])) mask[j] = 0;
+      if (mask[j] == 0) continue;
+      const Event* event = events[j].get();
+      if (!TermPasses(t, [event](int) { return event; })) mask[j] = 0;
     }
   }
 }

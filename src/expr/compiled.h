@@ -72,8 +72,14 @@ class CompiledPredicate {
   // compiled path doesn't cover. Out-param rather than
   // std::optional<Operand> — see the note in compiled.cc.
   static bool CompileOperand(const ExprPtr& e, Operand* out);
-  static bool TermPasses(const Term& t, const EvalInput& in);
-  static bool TermPassesEvent(const Term& t, const Event& event);
+  /// The one term evaluator. `event_of(class_idx)` finds an operand's
+  /// event (null when unbound): a slot lookup for Eval, the bare event
+  /// for FilterBatch.
+  template <typename EventOf>
+  static bool TermPasses(const Term& t, const EventOf& event_of);
+  template <typename EventOf>
+  static const Value* Resolve(const Operand& o, const EventOf& event_of,
+                              Value* time);
 
   std::vector<Term> terms_;
 };

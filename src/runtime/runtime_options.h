@@ -46,8 +46,10 @@ struct RuntimeOptions {
   Duration reorder_slack = 0;
   /// Default slow-event log threshold (wall nanoseconds) applied to
   /// every engine registered without its own EngineOptions::slow_event_ns.
-  /// An event whose processing exceeds it emits one rate-limited
-  /// ZS_LOG(Warn) naming the query and its hottest plan node. 0 disables.
+  /// Timed per ingest batch: a run of events a shard hands one engine at
+  /// once whose processing exceeds it counts one slow event and emits
+  /// one rate-limited ZS_LOG(Warn) naming the query and its hottest plan
+  /// node. 0 disables.
   int64_t slow_event_ns = 0;
 };
 

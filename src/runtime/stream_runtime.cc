@@ -105,7 +105,7 @@ struct StreamRuntime::QueryState {
   std::atomic<uint64_t> observed_pairs{0};
   /// Shared by every shard engine (MemoryTracker is thread-safe).
   std::unique_ptr<MemoryTracker> tracker;
-  std::vector<std::unique_ptr<EngineCore>> engines;  // [shard] or null
+  std::vector<std::unique_ptr<Engine>> engines;  // [shard] or null
   /// Serializes ReplanQuery's controller + plan updates without holding
   /// the runtime-wide control_mu_ across worker barriers (a worker
   /// blocked on control_mu_ inside a MatchSink callback must never be
@@ -196,7 +196,7 @@ struct StreamRuntime::Shard {
   // Worker-thread-local: engines hosted on this shard.
   struct Entry {
     QueryState* query;
-    EngineCore* engine;
+    Engine* engine;
   };
   std::vector<Entry> entries;
   // Worker-thread-local: late drops of engines already retired from
@@ -209,9 +209,9 @@ struct StreamRuntime::Shard {
   // have no single triggering arrival and are not observed).
   uint64_t current_arrival_ns = 0;
 
-  // Worker-thread-local scratch for DispatchRun: the contiguous event
-  // span handed to PushBatch, and the per-query filtered subset for
-  // hash-routed queries. Reused across runs to stay allocation-free.
+  // Worker-thread-local scratch: the run of queued events handed to a
+  // reorder stage or to DispatchRun, and the per-query filtered subset
+  // for hash-routed queries. Reused across runs to stay allocation-free.
   std::vector<EventPtr> span_scratch;
   std::vector<EventPtr> filter_scratch;
 
@@ -219,14 +219,14 @@ struct StreamRuntime::Shard {
   // created lazily when RuntimeOptions::reorder_slack > 0. Sits between
   // the shard queue and the engines, so every engine on the shard sees
   // timestamp-ordered input even when producers interleave.
-  std::unordered_map<StreamId, std::unique_ptr<ReorderStage>> reorder;
+  std::unordered_map<StreamId, ReorderStage> reorder;
 
   void PublishLateCounters() {
     uint64_t dropped = retired_late;
     uint64_t pending = 0;
     for (const auto& [stream, stage] : reorder) {
-      dropped += stage->late_dropped();
-      pending += stage->pending();
+      dropped += stage.late_dropped();
+      pending += stage.pending();
     }
     for (const Entry& e : entries) dropped += e.engine->late_events();
     late.store(dropped, std::memory_order_relaxed);
@@ -292,30 +292,10 @@ void StreamRuntime::Stop() {
 // Worker loop
 // ---------------------------------------------------------------------
 
-ZS_HOT void StreamRuntime::DispatchEvent(Shard* shard, StreamId stream,
-                                         const EventPtr& event,
-                                         int hint_field, size_t hint_hash) {
-  for (Shard::Entry& entry : shard->entries) {
-    if (entry.query->stream != stream) continue;
-    if (!entry.query->AcceptsOn(shard->index, event, hint_field,
-                                hint_hash)) {
-      continue;
-    }
-    entry.engine->Push(event);
-  }
-}
-
-ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, const ShardMsg* msgs,
-                                       size_t count) {
-  // All messages in a run share arrival_ns (same ingest batch), so the
-  // latency stamp is exact for every match the run emits.
-  shard->current_arrival_ns = msgs[0].arrival_ns;
-  const StreamId stream = msgs[0].stream;
-  std::vector<EventPtr>& span = shard->span_scratch;
-  span.clear();
-  for (size_t i = 0; i < count; ++i) {
-    span.push_back(msgs[i].event);  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
-  }
+ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, StreamId stream,
+                                       const EventBatch& run,
+                                       const ShardMsg* msgs) {
+  if (run.count == 0) return;
   for (Shard::Entry& entry : shard->entries) {
     const QueryState* q = entry.query;
     if (q->stream != stream) continue;
@@ -327,13 +307,15 @@ ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, const ShardMsg* msgs,
         break;
       case RoutePolicy::kHashKey: {
         // Membership varies per event: filter the run down to this
-        // query's keys, reusing the router's hash hints.
+        // query's keys, reusing the router's hash hints when the run
+        // comes straight from the queue (a reordered run re-hashes).
         std::vector<EventPtr>& mine = shard->filter_scratch;
         mine.clear();
-        for (size_t i = 0; i < count; ++i) {
-          if (q->AcceptsOn(shard->index, msgs[i].event,
-                           msgs[i].key_hint_field, msgs[i].key_hint_hash)) {
-            mine.push_back(msgs[i].event);  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
+        for (size_t i = 0; i < run.count; ++i) {
+          const int hint_field = msgs != nullptr ? msgs[i].key_hint_field : -1;
+          const size_t hint_hash = msgs != nullptr ? msgs[i].key_hint_hash : 0;
+          if (q->AcceptsOn(shard->index, run.data[i], hint_field, hint_hash)) {
+            mine.push_back(run.data[i]);  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
           }
         }
         if (!mine.empty()) {
@@ -344,13 +326,14 @@ ZS_HOT void StreamRuntime::DispatchRun(Shard* shard, const ShardMsg* msgs,
       case RoutePolicy::kAuto:
         continue;  // resolved at registration
     }
-    entry.engine->PushBatch(EventBatch{span.data(), span.size()});
+    entry.engine->PushBatch(run);
   }
-  shard->current_arrival_ns = 0;
 }
 
 void StreamRuntime::FlushReorder(Shard* shard) {
-  for (auto& [stream, stage] : shard->reorder) stage->Flush();
+  for (auto& [stream, stage] : shard->reorder) {
+    DispatchRun(shard, stream, stage.Flush(), nullptr);
+  }
 }
 
 ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
@@ -368,31 +351,26 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
       ShardMsg& msg = batch[bi];
       switch (msg.kind) {
         case ShardMsg::Kind::kEvent: {
-          // Columnar fast path: hand consecutive untraced events from
-          // the same ingest batch to the engines as one span. Traced
-          // events keep the per-event path so queue-wait spans and
-          // trace ids stay per event; reordering keeps it because the
-          // reorder stage is inherently event-at-a-time.
-          if (!reordering && msg.trace_id == 0) {
-            size_t run_end = bi + 1;
-            while (run_end < batch.size() &&
-                   batch[run_end].kind == ShardMsg::Kind::kEvent &&
-                   batch[run_end].stream == msg.stream &&
-                   batch[run_end].trace_id == 0 &&
-                   batch[run_end].arrival_ns == msg.arrival_ns) {
-              ++run_end;
-            }
-            if (run_end - bi > 1) {
-              DispatchRun(shard, &batch[bi], run_end - bi);
-              shard->events_processed.fetch_add(
-                  run_end - bi, std::memory_order_relaxed);
-              bi = run_end - 1;
-              break;
-            }
+          // One run: consecutive untraced events of the same stream and
+          // ingest batch. A traced event is a run of one, so queue-wait
+          // spans and trace ids stay per event.
+          size_t run_end = bi + 1;
+          while (msg.trace_id == 0 && run_end < batch.size() &&
+                 batch[run_end].kind == ShardMsg::Kind::kEvent &&
+                 batch[run_end].stream == msg.stream &&
+                 batch[run_end].trace_id == 0 &&
+                 batch[run_end].arrival_ns == msg.arrival_ns) {
+            ++run_end;
           }
-          // Matches emitted while this event is processed (including
+          std::vector<EventPtr>& span = shard->span_scratch;
+          span.clear();
+          for (size_t i = bi; i < run_end; ++i) {
+            span.push_back(batch[i].event);  // zs-hotpath-allow(amortized: scratch capacity reused across runs)
+          }
+          const EventBatch run{span.data(), span.size()};
+          // Matches emitted while this run is processed (including the
           // reorder releases it triggers) measure latency from its
-          // arrival — the emission-triggering ingest.
+          // arrival: the emission-triggering ingest.
           shard->current_arrival_ns = msg.arrival_ns;
           obs::SetCurrentTrace(msg.trace_id);
           // Queue residency: enqueue stamp to dequeue, on this shard's
@@ -402,32 +380,22 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
                            obs::MonotonicNanos(), nullptr,
                            static_cast<uint64_t>(shard->index));
           if (reordering) {
-            auto it = shard->reorder.find(msg.stream);
-            if (it == shard->reorder.end()) {
-              // Reordered events lose their router key hint: released
-              // later, possibly interleaved across hints, they re-hash
-              // in AcceptsOn (hint_field -1).
-              auto stage = std::make_unique<ReorderStage>(
-                  options_.reorder_slack,
-                  [this, shard, stream = msg.stream](const EventPtr& e) {
-                    DispatchEvent(shard, stream, e, /*hint_field=*/-1,
-                                  /*hint_hash=*/0);
-                  });
-              it = shard->reorder.emplace(msg.stream, std::move(stage))
-                       .first;
-            }
-            it->second->Push(msg.event);
+            ReorderStage& stage =
+                shard->reorder.try_emplace(msg.stream, options_.reorder_slack)
+                    .first->second;
+            DispatchRun(shard, msg.stream, stage.Push(run), nullptr);
           } else {
-            DispatchEvent(shard, msg.stream, msg.event, msg.key_hint_field,
-                          msg.key_hint_hash);
+            DispatchRun(shard, msg.stream, run, &batch[bi]);
           }
           shard->current_arrival_ns = 0;
           obs::SetCurrentTrace(0);
-          shard->events_processed.fetch_add(1, std::memory_order_relaxed);
+          shard->events_processed.fetch_add(run_end - bi,
+                                            std::memory_order_relaxed);
+          bi = run_end - 1;
           break;
         }
         case ShardMsg::Kind::kRegister: {
-          EngineCore* engine =
+          Engine* engine =
               msg.query->engines[static_cast<size_t>(shard->index)].get();
           shard->entries.push_back(Shard::Entry{msg.query.get(), engine});
           msg.sync->Arrive();
@@ -444,11 +412,10 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
             // retire. Side effect (as at the kFinishAll barrier):
             // other queries on the stream see those events now, and
             // later arrivals below the flushed frontier count as late.
-            if (reordering) {
-              auto stage = shard->reorder.find(msg.query->stream);
-              if (stage != shard->reorder.end()) {
-                stage->second->Flush();
-              }
+            auto stage = shard->reorder.find(msg.query->stream);
+            if (stage != shard->reorder.end()) {
+              DispatchRun(shard, stage->first, stage->second.Flush(),
+                          nullptr);
             }
             it->engine->Finish();  // deliver pending matches first
             shard->retired_late += it->engine->late_events();
@@ -464,7 +431,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
           // before this call is processed") covers them. Events
           // arriving after the barrier with timestamps below the flush
           // point count as late.
-          if (reordering) FlushReorder(shard);
+          FlushReorder(shard);
           for (Shard::Entry& entry : shard->entries) entry.engine->Finish();
           shard->PublishLateCounters();
           msg.sync->Arrive();
@@ -532,7 +499,7 @@ ZS_HOT void StreamRuntime::WorkerLoop(Shard* shard) {
     shard->PublishLateCounters();
   }
   // Queue closed and drained: flush so counters and sinks are complete.
-  if (reordering) FlushReorder(shard);
+  FlushReorder(shard);
   for (Shard::Entry& entry : shard->entries) entry.engine->Finish();
   shard->PublishLateCounters();
 }
@@ -754,6 +721,13 @@ Result<QueryId> StreamRuntime::RegisterQuery(StreamId stream,
                                              const std::string& text,
                                              const CompileOptions& compile,
                                              const QueryOptions& options) {
+  if (compile.reorder_slack != 0) {
+    // The shards already reorder at ingress; a second, per-query stage
+    // would run behind theirs, so refuse rather than ignore the value.
+    return Status::InvalidArgument(
+        "CompileOptions::reorder_slack applies to session queries only; "
+        "set RuntimeOptions::reorder_slack to reorder runtime input");
+  }
   SchemaPtr schema;
   {
     zs::ReaderMutexLock lock(route_mu_);
@@ -862,7 +836,7 @@ Result<QueryId> StreamRuntime::RegisterCompiled(
 
   const std::vector<int> targets = TargetShards(*qs);
   for (int s : targets) {
-    ZS_ASSIGN_OR_RETURN(std::unique_ptr<EngineCore> engine,
+    ZS_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
                         Engine::Create(pattern, plan, eopts,
                                        qs->tracker.get()));
     engine->SetMatchCallback(

@@ -214,17 +214,16 @@ class StreamRuntime {
   explicit StreamRuntime(const RuntimeOptions& options);
 
   void WorkerLoop(Shard* shard);
-  /// Offers `event` to every engine on `shard` whose query routes it
-  /// there (the step downstream of the optional per-shard reorder
-  /// stage).
-  void DispatchEvent(Shard* shard, StreamId stream, const EventPtr& event,
-                     int hint_field, size_t hint_hash);
-  /// Offers a run of consecutive untraced events (same stream, same
-  /// ingest batch) to every engine on `shard` as one columnar span
-  /// (EngineCore::PushBatch). Hash-routed queries filter the run per
-  /// event first; pinned/broadcast queries take the span whole.
-  void DispatchRun(Shard* shard, const ShardMsg* msgs, size_t count);
-  /// Drains the shard's reorder stages (stream end / flush barrier).
+  /// Offers a run of one stream's events to every engine on `shard`
+  /// whose query routes them there, as one span (Engine::PushBatch).
+  /// Hash-routed queries filter the run per event first, reusing the
+  /// router's key hashes from `msgs` (the queue messages the run was
+  /// taken from; null for a run released by a reorder stage);
+  /// pinned/broadcast queries take the span whole.
+  void DispatchRun(Shard* shard, StreamId stream, const EventBatch& run,
+                   const ShardMsg* msgs);
+  /// Releases the shard's reorder stages into the engines (stream end /
+  /// flush barrier).
   void FlushReorder(Shard* shard);
   /// Shard bitmask for `entry`; for hash routes also records the key
   /// hash it computed into *hint_field/*hint_hash so the shard worker

@@ -137,7 +137,7 @@ CaseReport DifferentialDriver::RunCase(const GeneratedPattern& gp,
   std::vector<TreeVariant> variants;
   {
     CompileOptions base;
-    base.engine.reorder_slack = trace.max_disorder;
+    base.reorder_slack = trace.max_disorder;
     TreeVariant opt{"tree:optimal", base};
     variants.push_back(opt);
     TreeVariant b1{"tree:optimal/batch1", base};

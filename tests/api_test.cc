@@ -263,8 +263,7 @@ TEST(Api, InternalQueryAccessReachesEngines) {
   EXPECT_EQ(internal::QueryAccess::SingleEngine(**keyed),
             internal::QueryAccess::Partitioned(**keyed));
   EXPECT_EQ(internal::QueryAccess::Core(**keyed),
-            static_cast<EngineCore*>(
-                internal::QueryAccess::Partitioned(**keyed)));
+            internal::QueryAccess::Partitioned(**keyed));
 }
 
 TEST(Api, CompileFromPatternBuilder) {

@@ -2,8 +2,8 @@
 // observationally identical to event-at-a-time Push for every operator,
 // for every split of the stream into spans, and for every engine batch
 // size — including the corner cases that only show up at batch edges:
-// WITHIN expiry exactly at a boundary, reorder-slack releases mid-batch,
-// and empty / singleton batches.
+// WITHIN expiry exactly at a boundary, reorder-slack releases mid-batch
+// (through a Query's ingress stage), and empty / singleton batches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@ using testing::MatchKey;
 using testing::ReferenceMatcher;
 using testing::ResetStockIds;
 using testing::RunPlan;
+using testing::RunQuery;
 using testing::Stock;
 
 // Feeds `events` split into spans of `span` via PushBatch (plus one
@@ -211,12 +212,14 @@ TEST(BatchExec, WithinExpiryExactlyAtBatchEdge) {
 }
 
 TEST(BatchExec, ReorderSlackFlushMidBatch) {
-  // Out-of-order input within the slack, pushed as batches: the reorder
-  // stage releases events mid-batch as the frontier advances. The match
-  // set must equal the in-order stream's, with nothing dropped.
-  const PatternPtr p = MustAnalyze(
+  // Out-of-order input within the slack, through a Query's ingress
+  // reorder stage: it releases events mid engine batch as the frontier
+  // advances. The match set must equal the in-order stream's, with
+  // nothing dropped.
+  const std::string text =
       "PATTERN A;B;C WHERE A.name='A' AND B.name='B' AND C.name='C' "
-      "WITHIN 20");
+      "WITHIN 20";
+  const PatternPtr p = MustAnalyze(text);
   const PhysicalPlan plan = LeftDeepPlan(*p);
   auto events = MixedStream(90, /*seed=*/7, 3);
   // Swap adjacent pairs a few positions apart; the disorder stays
@@ -230,23 +233,15 @@ TEST(BatchExec, ReorderSlackFlushMidBatch) {
   serial.batch_size = 1;
   const auto expected = RunPlan(p, plan, events, serial);
 
-  for (const size_t span : {size_t{1}, size_t{8}, shuffled.size()}) {
-    EngineOptions options;
+  for (const int batch : {1, 16, 64}) {
+    CompileOptions options;
+    options.strategy = PlanStrategy::kLeftDeep;
     options.reorder_slack = 5;
-    options.batch_size = 16;
-    auto engine = Engine::Create(p, plan, options);
-    ASSERT_TRUE(engine.ok());
-    std::vector<std::string> keys;
-    (*engine)->SetMatchCallback(
-        [&](Match&& m) { keys.push_back(MatchKey(m)); });
-    for (size_t i = 0; i < shuffled.size(); i += span) {
-      const size_t n = std::min(span, shuffled.size() - i);
-      (*engine)->PushBatch(EventBatch{shuffled.data() + i, n});
-    }
-    (*engine)->Finish();
-    std::sort(keys.begin(), keys.end());
-    EXPECT_EQ(keys, expected) << "span=" << span;
-    EXPECT_EQ((*engine)->late_events(), 0u) << "span=" << span;
+    options.engine.batch_size = batch;
+    uint64_t late = 0;
+    EXPECT_EQ(RunQuery(text, shuffled, options, &late), expected)
+        << "batch_size=" << batch;
+    EXPECT_EQ(late, 0u) << "batch_size=" << batch;
   }
 }
 

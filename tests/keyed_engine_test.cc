@@ -144,27 +144,30 @@ TEST(MergeStatsCatalogs, RatesSumAndSelectivitiesAverage) {
   EXPECT_DOUBLE_EQ(merged.window(), 100.0);
 }
 
-// Regression (zstream_fuzz): EngineOptions::reorder_slack used to be
-// ignored on the partitioned path. The engine's reorder stage sits
-// before leaf admission, so both same-key and cross-key disorder within
-// the slack is absorbed.
+// Regression (zstream_fuzz): the reorder slack used to be ignored on the
+// partitioned path. The query's ingress reorder stage sits before leaf
+// admission, so both same-key and cross-key disorder within the slack
+// is absorbed.
 TEST(PartitionedEngine, ReorderSlackAppliesBeforeRouting) {
-  const PatternPtr p = MustAnalyze(kQuery);
-  EngineOptions options;
+  ZStream zs(StockSchema());
+  CompileOptions options;
+  options.strategy = PlanStrategy::kLeftDeep;
   options.reorder_slack = 10;
-  auto engine = MakeEngine(p, LeftDeepPlan(*p), options);
+  auto query = zs.Compile(kQuery, options);
+  ASSERT_TRUE(query.ok()) << query.status();
+  ASSERT_TRUE((*query)->partitioned());
   uint64_t delivered = 0;
-  engine->SetMatchCallback([&](Match&&) { ++delivered; });
+  (*query)->SetMatchCallback([&](Match&&) { ++delivered; });
 
   // Same key, out of order: @2 used to be dropped as late.
-  engine->Push(Stock("SYM0", 20.0, 9));
-  engine->Push(Stock("SYM0", 10.0, 2));
+  (*query)->Push(Stock("SYM0", 20.0, 9));
+  (*query)->Push(Stock("SYM0", 10.0, 2));
   // Cross-key interleaving, also out of order.
-  engine->Push(Stock("SYM1", 20.0, 8));
-  engine->Push(Stock("SYM1", 10.0, 3));
-  engine->Finish();
+  (*query)->Push(Stock("SYM1", 20.0, 8));
+  (*query)->Push(Stock("SYM1", 10.0, 3));
+  (*query)->Finish();
 
-  EXPECT_EQ(engine->late_events(), 0u);
+  EXPECT_EQ((*query)->late_events(), 0u);
   EXPECT_EQ(delivered, 2u);  // (10@2, 20@9) and (10@3, 20@8)
 }
 

@@ -1,4 +1,4 @@
-// The match callback contract (exec/engine_core.h, MatchCallback): the
+// The match callback contract (exec/engine.h, MatchCallback): the
 // engine lends one reused Match per call. A consumer that only reads it,
 // one that copies it and one that moves its slots and group out must see
 // the same match multiset, equal to the oracle's, on every root operator,

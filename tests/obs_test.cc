@@ -262,6 +262,40 @@ TEST(ExplainAnalyze, RuntimeCountersReconcileWithCollectingSink) {
   EXPECT_NE(metrics.find("zstream_detection_latency_seconds_count"),
             std::string::npos);
 }
+
+// Slow events are timed once per PushBatch call, whatever its size (a
+// Push is a batch of one): with a 1 ns threshold every call is slow and
+// adds exactly one to slow_events() and to zstream_slow_events_total.
+TEST(SlowEvents, CountedOncePerPushBatch) {
+  const PatternPtr p = MustAnalyze(kQuery4);
+  const auto events = StockWorkload(2000, 5);
+  EngineOptions options;
+  options.slow_event_ns = 1;
+  options.label = "slow_per_batch";
+  auto engine = Engine::Create(p, LeftDeepPlan(*p), options);
+  ASSERT_TRUE(engine.ok());
+  const obs::Counter* total = Registry::Default().GetCounter(
+      "zstream_slow_events_total", {{"query", "slow_per_batch"}});
+  const uint64_t before = total->value();
+  uint64_t calls = 0;
+  size_t next = 0;
+  for (const size_t n : {size_t{1}, size_t{7}, size_t{64}, size_t{65},
+                         size_t{300}, size_t{1000}}) {
+    ASSERT_LE(next + n, events.size());
+    (*engine)->PushBatch(EventBatch{events.data() + next, n});
+    next += n;
+    ++calls;
+    EXPECT_EQ((*engine)->slow_events(), calls) << "batch of " << n;
+    EXPECT_EQ(total->value() - before, calls) << "batch of " << n;
+  }
+  (*engine)->Push(events[next]);
+  ++calls;
+  EXPECT_EQ((*engine)->slow_events(), calls);
+  EXPECT_EQ(total->value() - before, calls);
+  EXPECT_NE((*engine)->ExplainAnalyze().find(
+                "slow_events=" + std::to_string(calls)),
+            std::string::npos);
+}
 #endif  // ZSTREAM_OBS_STRIPPED
 
 // ---------------------------------------------------------------------

@@ -766,5 +766,67 @@ TEST(StreamRuntime, ReorderLateDropsAreCountedAndExported) {
   EXPECT_NE(json.find("\"pending\": 0"), std::string::npos);
 }
 
+// The shards reorder at ingress; a per-query slack would be a second
+// stage behind theirs, so registration refuses it loudly.
+TEST(StreamRuntime, RegisterRejectsCompileReorderSlack) {
+  auto rt = StreamRuntime::Create();
+  ASSERT_TRUE(rt.ok());
+  auto stream = (*rt)->AddStream("stock", StockSchema());
+  ASSERT_TRUE(stream.ok());
+  CompileOptions compile;
+  compile.reorder_slack = 5;
+  auto id = (*rt)->RegisterQuery(
+      *stream, "PATTERN A;B WHERE A.price < B.price WITHIN 10", compile);
+  ASSERT_FALSE(id.ok());
+  EXPECT_TRUE(id.status().IsInvalidArgument());
+  EXPECT_NE(id.status().ToString().find("RuntimeOptions::reorder_slack"),
+            std::string::npos)
+      << id.status();
+}
+
+#ifndef ZSTREAM_OBS_STRIPPED
+// A slow-event threshold no longer sends the shards back to per-event
+// dispatch: slow events are timed per run, and the match set is the one
+// the runtime finds without a threshold.
+TEST(StreamRuntime, SlowEventThresholdKeepsRunDispatch) {
+  const auto events = ManyNameTrades(20000, 17);
+  const auto run = [&events](int64_t slow_event_ns, const std::string& label) {
+    RuntimeOptions options;
+    options.num_shards = 2;
+    options.slow_event_ns = slow_event_ns;
+    auto rt = StreamRuntime::Create(options);
+    EXPECT_TRUE(rt.ok());
+    auto stream = (*rt)->AddStream("stock", StockSchema());
+    EXPECT_TRUE(stream.ok());
+    CollectingMatchSink sink;
+    QueryOptions qopts;
+    qopts.sink = &sink;
+    CompileOptions compile;
+    compile.engine.label = label;
+    EXPECT_TRUE(
+        (*rt)->RegisterQuery(*stream, kPartitionedQuery, compile, qopts).ok());
+    for (size_t i = 0; i < events.size(); i += 500) {
+      const std::vector<EventPtr> chunk(
+          events.begin() + static_cast<long>(i),
+          events.begin() + static_cast<long>(std::min(i + 500, events.size())));
+      EXPECT_EQ((*rt)->IngestBatch(*stream, chunk), 0u);
+    }
+    EXPECT_TRUE((*rt)->Flush().ok());
+    return sink.SortedKeys();
+  };
+  const auto plain = run(0, "runtime_no_threshold");
+  ASSERT_FALSE(plain.empty());
+  const obs::Counter* slow = obs::Registry::Default().GetCounter(
+      "zstream_slow_events_total", {{"query", "runtime_slow_1ns"}});
+  EXPECT_EQ(run(1, "runtime_slow_1ns"), plain);
+  EXPECT_EQ(plain,
+            SingleThreadedKeys(StockSchema(), kPartitionedQuery, events));
+  // Every event lands on exactly one of the two shards, so per-event
+  // dispatch would count 20000 slow events; runs count one per span.
+  EXPECT_GT(slow->value(), 0u);
+  EXPECT_LT(slow->value() * 4, events.size());
+}
+#endif  // ZSTREAM_OBS_STRIPPED
+
 }  // namespace
 }  // namespace zstream::testing

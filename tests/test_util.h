@@ -107,6 +107,30 @@ inline std::vector<std::string> RunPlan(const PatternPtr& pattern,
   return keys;
 }
 
+/// Compiles `text` as a session Query on the stock schema, pushes
+/// `events` one at a time (through the query's reorder stage when
+/// `options` sets a slack) and returns sorted match keys. `late`, when
+/// given, receives Query::late_events().
+inline std::vector<std::string> RunQuery(const std::string& text,
+                                         const std::vector<EventPtr>& events,
+                                         const CompileOptions& options = {},
+                                         uint64_t* late = nullptr) {
+  ZStream zs(StockSchema());
+  auto query = zs.Compile(text, options);
+  if (!query.ok()) {
+    ADD_FAILURE() << "compile failed: " << query.status().ToString();
+    return {};
+  }
+  std::vector<std::string> keys;
+  (*query)->SetMatchCallback(
+      [&](Match&& m) { keys.push_back(MatchKey(m)); });
+  for (const EventPtr& e : events) (*query)->Push(e);
+  (*query)->Finish();
+  if (late != nullptr) *late = (*query)->late_events();
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 // ---------------------------------------------------------------------
 // Brute-force reference matcher.
 //

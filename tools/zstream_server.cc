@@ -20,11 +20,13 @@
 //
 //   zstream_server metrics on http://127.0.0.1:45127/metrics
 //
-// --slow-event-ms N arms the slow-event log: any single event whose
-// evaluation in a plan exceeds the threshold is reported (rate-limited)
-// through ZS_LOG(Warn), tagged with the event's trace id when sampled,
-// and triggers a flight-recorder ring snapshot when --trace-dump-dir
-// is set.
+// --slow-event-ms N arms the slow-event log, counted per ingest batch:
+// any run of events a shard hands one query's engine at once (a traced
+// event is a run of one) whose evaluation exceeds the threshold counts
+// one slow event in zstream_slow_events_total and is reported
+// (rate-limited) through ZS_LOG(Warn), tagged with the trace id when
+// sampled, and triggers a flight-recorder ring snapshot when
+// --trace-dump-dir is set.
 //
 // --trace-sample N arms end-to-end tracing: every Nth ingest batch is
 // traced through decode, queueing, evaluation and fanout (1 = every
@@ -58,7 +60,7 @@ int Usage(const char* argv0) {
       "usage: %s [--port N] [--bind ADDR] [--shards N]\n"
       "          [--queue-capacity N] [--drop-policy block|drop]\n"
       "          [--reorder-slack N] [--metrics-port N]\n"
-      "          [--slow-event-ms N] [--trace-sample N]\n"
+      "          [--slow-event-ms N (per ingest batch)] [--trace-sample N]\n"
       "          [--trace-ring-mb N] [--trace-dump-dir DIR]\n"
       "          [--ddl \"STATEMENT\"]...\n",
       argv0);
