@@ -8,8 +8,9 @@
 # produces — see tests/net_test.cc for the full match-set equality
 # assertion). Along the way it scrapes /metrics and /healthz before and
 # after the replay, asserting the Prometheus document is present and
-# the ingest counter is monotone, and renders EXPLAIN ANALYZE over the
-# wire. The server runs with --trace-sample 1 so the smoke also asserts
+# the ingest counter is monotone, checks the `metrics --json` ingest
+# total, runs the `stats` ticker for two ticks, and renders EXPLAIN
+# ANALYZE over the wire. The server runs with --trace-sample 1 so the smoke also asserts
 # GET /trace serves a non-empty chrome://tracing document after the
 # replay.
 #
@@ -83,13 +84,27 @@ echo "== replaying stock workload over the wire =="
 "$BIN/zstream_cli" --port "$port" replay stock --stream stock \
   --events 20000 --symbols 16 --expect "rally=$EXPECT_MATCHES"
 
-echo "== stats =="
-stats=$("$BIN/zstream_cli" --port "$port" stats)
-echo "$stats"
-case "$stats" in
-  *'"events_ingested": 20000'*) ;;
-  *) echo "error: stats did not report 20000 ingested events" >&2; exit 1 ;;
+echo "== metrics --json =="
+# The registry's JSON document carries the ingest total the replay
+# produced (the family's one series, up to the end of its series list).
+ingested_family=$("$BIN/zstream_cli" --port "$port" metrics --json |
+  grep -o '"zstream_events_ingested_total":{[^]]*]' || true)
+echo "$ingested_family"
+case "$ingested_family" in
+  *'"value":20000}'*) ;;
+  *) echo "error: metrics --json did not report 20000 ingested events" >&2
+     exit 1 ;;
 esac
+
+echo "== stats ticker =="
+ticker=$("$BIN/zstream_cli" --port "$port" stats --ticks 2 --interval-ms 100)
+echo "$ticker"
+tick_lines=$(printf '%s\n' "$ticker" |
+  grep -cE '^ *[0-9]+\.[0-9]s +[0-9]+ +[0-9]+ +[0-9]+\.[0-9] +[0-9]+ +[0-9]+$' || true)
+if [[ "$(printf '%s\n' "$ticker" | head -1)" != *matches/s* || "$tick_lines" -ne 2 ]]; then
+  echo "error: stats ticker did not print a header and 2 tick lines" >&2
+  exit 1
+fi
 
 echo "== metrics after replay (monotonicity) =="
 after=$(http_get /metrics)

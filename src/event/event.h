@@ -66,6 +66,11 @@ struct EventBatch {
   size_t count = 0;
 };
 
+/// The events one Kleene closure bound, shared by every record derived
+/// from it.
+using EventGroup = std::vector<EventPtr>;
+using EventGroupPtr = std::shared_ptr<const EventGroup>;
+
 /// \brief Convenience builder for tests, examples and generators.
 ///
 ///   auto e = EventBuilder(schema).Set("name", "IBM").Set("price", 95)

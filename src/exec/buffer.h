@@ -25,8 +25,10 @@
 
 #include "common/macros.h"
 #include "common/memory_tracker.h"
+#include "common/timestamp.h"
+#include "event/event.h"
 #include "exec/hash_index.h"
-#include "exec/record.h"
+#include "expr/expr.h"
 
 namespace zstream {
 
@@ -86,10 +88,8 @@ class Buffer {
 
   /// `count_event_bytes` is set for leaf buffers, which account the
   /// resident primitive events' bytes in addition to record overhead.
-  /// `arity` fixes the slot-column width; 0 defers it to the first
-  /// append (convenient for tests feeding whole Records).
-  explicit Buffer(MemoryTracker* tracker, bool count_event_bytes = false,
-                  int arity = 0)
+  /// `arity` (> 0) fixes the slot-column width.
+  Buffer(MemoryTracker* tracker, bool count_event_bytes, int arity)
       : tracker_(tracker),
         count_event_bytes_(count_event_bytes),
         arity_(arity) {}
@@ -99,12 +99,14 @@ class Buffer {
 
   int arity() const { return arity_; }
 
-  /// Appends a copy of a value-type record (compat path: NFA helpers and
-  /// tests); end timestamps must be non-decreasing.
-  RecordId Append(const Record& record);
+  /// Resident bytes of a Kleene group's payload. A buffer charges it
+  /// once per distinct resident group, however many records share it.
+  static size_t GroupByteSize(const EventGroup& g) {
+    return sizeof(EventGroup) + g.capacity() * sizeof(EventPtr);
+  }
 
   /// Leaf fast path: appends a single-event record bound to `class_idx`
-  /// with span [ts, ts]. Requires a construction-time arity.
+  /// with span [ts, ts]. End timestamps must be non-decreasing.
   RecordId AppendEvent(int class_idx, const EventPtr& event);
 
   /// Appends the slot-wise union of `a` and `b` (see UnionSlot; a null

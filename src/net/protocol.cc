@@ -65,8 +65,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kUnsubscribe: return "UNSUBSCRIBE";
     case MsgType::kUnsubscribeAck: return "UNSUBSCRIBE_ACK";
     case MsgType::kMatch: return "MATCH";
-    case MsgType::kStatsRequest: return "STATS_REQUEST";
-    case MsgType::kStats: return "STATS";
     case MsgType::kFlush: return "FLUSH";
     case MsgType::kFlushAck: return "FLUSH_ACK";
     case MsgType::kError: return "ERROR";
@@ -80,7 +78,8 @@ const char* MsgTypeName(MsgType type) {
 
 bool IsValidMsgType(uint8_t raw) {
   return raw >= static_cast<uint8_t>(MsgType::kDdl) &&
-         raw <= static_cast<uint8_t>(MsgType::kTrace);
+         raw <= static_cast<uint8_t>(MsgType::kTrace) && raw != 10 &&
+         raw != 11;  // the retired STATS pair
 }
 
 // ---------------------------------------------------------------------

@@ -30,8 +30,6 @@
 //   kUnsubscribe   c->s  query name
 //   kUnsubscribeAck s->c query name
 //   kMatch         s->c  query name + match (span, slots, Kleene group)
-//   kStatsRequest  c->s  empty
-//   kStats         s->c  JSON document (runtime + per-connection stats)
 //   kFlush         c->s  empty; barrier over the runtime
 //   kFlushAck      s->c  per-query match counts
 //   kError         s->c  coded Status (code, ZS-xxxx, line/column, text)
@@ -89,8 +87,8 @@ enum class MsgType : uint8_t {
   kUnsubscribe = 7,
   kUnsubscribeAck = 8,
   kMatch = 9,
-  kStatsRequest = 10,
-  kStats = 11,
+  // 10 and 11 were the retired STATS request/reply pair; never reuse
+  // them (a peer still sending 10 gets the unknown-type error).
   kFlush = 12,
   kFlushAck = 13,
   kError = 14,

@@ -62,13 +62,6 @@ struct Server::Connection {
   std::vector<std::string> subscriptions;
   bool closing = false;
 
-  // Per-connection stats, reported in the kStats JSON document.
-  uint64_t frames_received = 0;
-  uint64_t events_ingested = 0;
-  uint64_t events_dropped = 0;
-  uint64_t matches_sent = 0;
-  uint64_t errors_sent = 0;
-
   explicit Connection(uint32_t max_payload) : parser(max_payload) {}
 
   bool SubscribedTo(const std::string& query) const {
@@ -203,6 +196,14 @@ Status Server::Listen() {
 Status Server::BindCatalog(const runtime::RuntimeOptions& runtime_options) {
   ZS_ASSIGN_OR_RETURN(runtime_,
                       runtime::StreamRuntime::Create(runtime_options));
+  obs::Registry& reg = runtime_->metrics_registry();
+  frames_dispatched_ = reg.GetCounter("zstream_server_frames_dispatched_total",
+                                      {}, "Protocol frames dispatched");
+  matches_fanned_out_ =
+      reg.GetCounter("zstream_server_matches_fanned_out_total", {},
+                     "Match frames queued to subscribers");
+  connections_gauge_ = reg.GetGauge("zstream_server_connections", {},
+                                    "Open protocol connections");
   for (const std::string& name : session_->catalog().StreamNames()) {
     SchemaPtr schema = *session_->catalog().stream(name);
     ZS_RETURN_IF_ERROR(runtime_->AddStream(name, schema).status());
@@ -222,15 +223,19 @@ Status Server::RegisterOnRuntime(const std::string& query_name) {
                       session_->catalog().query(query_name));
   ZS_ASSIGN_OR_RETURN(SchemaPtr schema,
                       session_->catalog().stream(info.stream));
+  ZS_ASSIGN_OR_RETURN(runtime::StreamId stream, runtime_->stream(info.stream));
+  // Serve the pattern and plan the session compiled (and SHOW PLAN
+  // reports), not a re-plan of the text under default options.
+  ZS_ASSIGN_OR_RETURN(Query* query, session_->query(query_name));
   runtime::QueryOptions qopts;
   qopts.sink = &sink_;
   // Label the runtime engines with the catalog name so metrics series
   // and EXPLAIN ANALYZE report "rally", not the runtime's "q<id>".
-  CompileOptions copts;
-  copts.engine.label = query_name;
+  EngineOptions engine;
+  engine.label = query_name;
   ZS_ASSIGN_OR_RETURN(runtime::QueryId id,
-                      runtime_->RegisterQuery(info.stream, info.text,
-                                              copts, qopts));
+                      runtime_->RegisterQuery(stream, info.pattern,
+                                              query->plan(), engine, qopts));
   queries_[query_name] = QueryEntry{id, info.stream, std::move(schema)};
   query_names_[id] = query_name;
   query_order_.push_back(query_name);
@@ -346,6 +351,7 @@ void Server::PollLoop() {
         ++it;
       }
     }
+    connections_gauge_->Set(static_cast<int64_t>(connections_.size()));
     for (auto it = http_connections_.begin();
          it != http_connections_.end();) {
       if (it->second->closing) {
@@ -427,8 +433,7 @@ void Server::HandleReadable(Connection* conn) {
 
 void Server::DispatchFrame(Connection* conn,
                            const FrameParser::Frame& frame) {
-  frames_dispatched_.fetch_add(1, std::memory_order_relaxed);
-  ++conn->frames_received;
+  frames_dispatched_->Inc();
   switch (frame.header.type) {
     case MsgType::kDdl:
       if (frame.payload.empty()) {
@@ -447,9 +452,6 @@ void Server::DispatchFrame(Connection* conn,
       return;
     case MsgType::kUnsubscribe:
       HandleUnsubscribe(conn, frame.payload);
-      return;
-    case MsgType::kStatsRequest:
-      HandleStatsRequest(conn);
       return;
     case MsgType::kMetricsRequest:
       HandleMetricsRequest(conn, frame.payload);
@@ -620,8 +622,6 @@ void Server::HandleEventBatch(Connection* conn,
       runtime_->IngestBatch(*stream_id, events, trace_id);
   const uint64_t accepted =
       dropped >= events.size() ? 0 : events.size() - dropped;
-  conn->events_ingested += accepted;
-  conn->events_dropped += dropped;
   std::string ack;
   PutU64(&ack, accepted);
   PutU64(&ack, dropped);
@@ -667,10 +667,6 @@ void Server::HandleUnsubscribe(Connection* conn,
   std::string ack;
   PutString(&ack, *name);
   Send(conn, MsgType::kUnsubscribeAck, 0, ack);
-}
-
-void Server::HandleStatsRequest(Connection* conn) {
-  Send(conn, MsgType::kStats, 0, BuildStatsJson());
 }
 
 void Server::HandleMetricsRequest(Connection* conn,
@@ -753,10 +749,9 @@ void Server::DrainMatches() {
     for (auto& [fd, conn] : connections_) {
       if (conn->closing || !conn->SubscribedTo(name_it->second)) continue;
       Queue(conn.get(), MsgType::kMatch, 0, payload);
-      ++conn->matches_sent;
       ++fanned;
-      matches_fanned_out_.fetch_add(1, std::memory_order_relaxed);
     }
+    matches_fanned_out_->Inc(fanned);
     if (m.trace_id != 0) {
       obs::TraceRecord(0, obs::SpanKind::kFanout, m.trace_id, fanout_t0,
                        obs::MonotonicNanos(), name_it->second.c_str(),
@@ -771,7 +766,7 @@ void Server::DrainMatches() {
 }
 
 // ---------------------------------------------------------------------
-// Writes and stats
+// Writes
 // ---------------------------------------------------------------------
 
 void Server::Queue(Connection* conn, MsgType type, uint8_t flags,
@@ -797,7 +792,6 @@ void Server::Send(Connection* conn, MsgType type, uint8_t flags,
 void Server::SendError(Connection* conn, const Status& status) {
   std::string payload;
   AppendStatusPayload(&payload, status);
-  ++conn->errors_sent;
   Send(conn, MsgType::kError, 0, payload);
 }
 
@@ -823,59 +817,21 @@ void Server::FlushWrites(Connection* conn) {
   }
 }
 
-std::string Server::BuildStatsJson() const {
-  std::string out = "{\"server\": {";
-  out += "\"connections\": " + std::to_string(connections_.size());
-  out += ", \"queries\": " + std::to_string(queries_.size());
-  out += ", \"frames_dispatched\": " +
-         std::to_string(frames_dispatched_.load(std::memory_order_relaxed));
-  out += ", \"matches_fanned_out\": " +
-         std::to_string(matches_fanned_out_.load(std::memory_order_relaxed));
-  out += "}, \"connections\": [";
-  bool first = true;
-  for (const auto& [fd, conn] : connections_) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"id\": " + std::to_string(conn->id);
-    out += ", \"frames_received\": " + std::to_string(conn->frames_received);
-    out += ", \"events_ingested\": " + std::to_string(conn->events_ingested);
-    out += ", \"events_dropped\": " + std::to_string(conn->events_dropped);
-    out += ", \"matches_sent\": " + std::to_string(conn->matches_sent);
-    out += ", \"errors_sent\": " + std::to_string(conn->errors_sent);
-    out += ", \"subscriptions\": " +
-           std::to_string(conn->subscriptions.size());
-    out += "}";
-  }
-  out += "], \"runtime\": " + runtime_->Stats().ToJson() + "}";
-  return out;
-}
-
 // ---------------------------------------------------------------------
 // Metrics exposition (wire kMetrics + HTTP side port)
 // ---------------------------------------------------------------------
 
 std::string Server::MetricsText() {
-  obs::Registry& reg = runtime_->metrics_registry();
-  reg.GetGauge("zstream_server_connections", {},
-               "Open protocol connections")
-      ->Set(static_cast<int64_t>(connections_.size()));
-  reg.GetCounter("zstream_server_frames_dispatched_total", {},
-                 "Protocol frames dispatched")
-      ->Store(frames_dispatched_.load(std::memory_order_relaxed));
-  reg.GetCounter("zstream_server_matches_fanned_out_total", {},
-                 "Match frames queued to subscribers")
-      ->Store(matches_fanned_out_.load(std::memory_order_relaxed));
-  // The runtime registry (shard/query series + the server series just
-  // mirrored) and the process-wide registry (planner, verifier,
-  // slow-event counters) have disjoint family names, so the Prometheus
-  // documents concatenate into one valid exposition.
+  // The runtime registry (shard/query series + the server series) and
+  // the process-wide registry (planner, verifier, slow-event counters)
+  // have disjoint family names, so the Prometheus documents concatenate
+  // into one valid exposition.
   return runtime_->MetricsPrometheus() +
          obs::Registry::Default().RenderPrometheus();
 }
 
 std::string Server::MetricsJsonDoc() {
-  MetricsText();  // mirror the server + runtime series first
-  return "{\"runtime\": " + runtime_->metrics_registry().RenderJson() +
+  return "{\"runtime\": " + runtime_->MetricsJson() +
          ", \"process\": " + obs::Registry::Default().RenderJson() + "}";
 }
 

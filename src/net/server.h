@@ -39,6 +39,7 @@
 #include "api/zstream.h"
 #include "common/sync.h"
 #include "net/protocol.h"
+#include "obs/metrics.h"
 #include "runtime/match_sink.h"
 #include "runtime/stream_runtime.h"
 
@@ -94,14 +95,6 @@ class Server {
 
   runtime::StreamRuntime& runtime() { return *runtime_; }
 
-  /// Total frames dispatched and matches fanned out (for tests).
-  uint64_t frames_dispatched() const {
-    return frames_dispatched_.load(std::memory_order_relaxed);
-  }
-  uint64_t matches_fanned_out() const {
-    return matches_fanned_out_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Connection;
   struct HttpConnection;
@@ -142,13 +135,12 @@ class Server {
   void HandleEventBatch(Connection* conn, const std::string& payload);
   void HandleSubscribe(Connection* conn, const std::string& payload);
   void HandleUnsubscribe(Connection* conn, const std::string& payload);
-  void HandleStatsRequest(Connection* conn);
   void HandleMetricsRequest(Connection* conn, const std::string& payload);
   void HandleFlush(Connection* conn);
   void DrainMatches();
 
-  /// The full metrics document: server-level series mirrored into the
-  /// runtime registry, then runtime + process-default registries
+  /// The full metrics document: the runtime registry (shard/query
+  /// series plus the server's own) and the process-default registry
   /// rendered (Prometheus families concatenate; both sets are disjoint).
   std::string MetricsText();
   std::string MetricsJsonDoc();
@@ -166,7 +158,6 @@ class Server {
             std::string_view payload);
   void SendError(Connection* conn, const Status& status);
   void FlushWrites(Connection* conn);
-  std::string BuildStatsJson() const;
 
   ZStream* session_;
   ServerOptions options_;
@@ -198,8 +189,11 @@ class Server {
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopped_{false};
-  std::atomic<uint64_t> frames_dispatched_{0};
-  std::atomic<uint64_t> matches_fanned_out_{0};
+  /// Server series in the runtime registry, looked up once at Create
+  /// and bumped in place by the poll thread.
+  obs::Counter* frames_dispatched_ = nullptr;
+  obs::Counter* matches_fanned_out_ = nullptr;
+  obs::Gauge* connections_gauge_ = nullptr;
 };
 
 }  // namespace zstream::net

@@ -1,4 +1,4 @@
-#include "exec/record.h"
+#include "nfa/record.h"
 
 #include <sstream>
 

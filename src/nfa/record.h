@@ -1,11 +1,14 @@
-// Composite-event records (Section 4.2).
+// Value-type composite-event records (Section 4.2) for the NFA baseline
+// and the test oracle.
 //
 // A record is one (partial) match: a vector of pointers to the component
 // primitive events plus a start and end timestamp. We slot the pointers
 // by pattern-class index so one expression evaluator serves every
-// operator; a Kleene group rides along as a shared vector.
-#ifndef ZSTREAM_EXEC_RECORD_H_
-#define ZSTREAM_EXEC_RECORD_H_
+// class; a Kleene group rides along as a shared vector. The tree engine
+// does not use this type: its buffers store records column-wise and
+// hand out RecordRef views (exec/buffer.h).
+#ifndef ZSTREAM_NFA_RECORD_H_
+#define ZSTREAM_NFA_RECORD_H_
 
 #include <memory>
 #include <string>
@@ -17,11 +20,8 @@
 
 namespace zstream {
 
-using EventGroup = std::vector<EventPtr>;
-using EventGroupPtr = std::shared_ptr<const EventGroup>;
-
-/// \brief A buffer entry: either a primitive event (leaf buffers) or an
-/// assembled intermediate/composite result (internal buffers).
+/// \brief One (partial) match: a primitive event bound to its class, or
+/// the union of several.
 struct Record {
   Timestamp start_ts = 0;
   Timestamp end_ts = 0;
@@ -54,25 +54,19 @@ struct Record {
     return in;
   }
 
-  /// Approximate resident bytes (used for the Tables 3/5 peak-memory
-  /// accounting). `count_events` adds the pointed-to events' bytes and is
-  /// set for leaf buffers, which "own" event residency.
+  /// Approximate resident bytes. `count_events` adds the pointed-to
+  /// events' bytes.
   ///
   /// Excludes the Kleene group's payload: one EventGroup is shared by
   /// every record derived from the same closure, so charging it per
-  /// holder would inflate peak_mb by the fan-out factor. Containers
+  /// holder would inflate the total by the fan-out factor. Containers
   /// charge GroupByteSize once per distinct resident group instead
   /// (see Buffer's group accounting).
   size_t ByteSize(bool count_events = false) const;
-
-  /// Resident bytes of a group payload, charged once per distinct group.
-  static size_t GroupByteSize(const EventGroup& g) {
-    return sizeof(EventGroup) + g.capacity() * sizeof(EventPtr);
-  }
 
   std::string ToString() const;
 };
 
 }  // namespace zstream
 
-#endif  // ZSTREAM_EXEC_RECORD_H_
+#endif  // ZSTREAM_NFA_RECORD_H_

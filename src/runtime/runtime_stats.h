@@ -1,12 +1,14 @@
-// Runtime observability: per-shard throughput, queue depth and drop
-// counters, snapshotted by StreamRuntime::Stats() and exported as JSON
-// for dashboards / the scaling benchmark.
+// Runtime counters as a typed in-process snapshot: per-shard
+// throughput, queue depth and drop counters, read by
+// StreamRuntime::Stats() for tests and benchmarks. This is not an export
+// format: StreamRuntime::UpdateMetrics copies the snapshot into the
+// metrics registry, whose Prometheus/JSON documents (METRICS, /metrics,
+// /metrics.json) are the one exported view (docs/observability.md).
 #ifndef ZSTREAM_RUNTIME_RUNTIME_STATS_H_
 #define ZSTREAM_RUNTIME_RUNTIME_STATS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace zstream::runtime {
@@ -39,19 +41,17 @@ class RuntimeStats {
   std::vector<ShardStats> shards;
   double elapsed_s = 0.0;
   uint64_t events_ingested = 0;
-  /// Events ingested carrying a sampled trace id (obs/trace.h); drives
-  /// the CLI stats watcher's traced/s column.
+  /// Events ingested carrying a sampled trace id (obs/trace.h).
   uint64_t events_traced = 0;
   uint64_t events_processed = 0;
   uint64_t events_dropped = 0;
+  /// Matches emitted by every query ever registered: unregistered
+  /// queries keep their share, so the total never goes backwards.
   uint64_t matches = 0;
   size_t num_queries = 0;
   /// Totals of the per-shard late and reorder-stage counters.
   uint64_t late_dropped = 0;
   size_t pending = 0;
-
-  /// Compact JSON object (stable field order, no external deps).
-  std::string ToJson() const;
 };
 
 }  // namespace zstream::runtime

@@ -84,7 +84,6 @@ struct StreamRuntime::ProfileCtx {
 struct StreamRuntime::QueryState {
   QueryId id = 0;
   StreamId stream = -1;
-  std::string text;
   PatternPtr pattern;
   RoutePolicy route = RoutePolicy::kPinned;
   int key_field = -1;
@@ -575,46 +574,7 @@ ZS_HOT bool StreamRuntime::Ingest(StreamId stream, const EventPtr& event) {
 
 ZS_HOT bool StreamRuntime::Ingest(StreamId stream, const EventPtr& event,
                                   uint64_t trace_id) {
-  if (stopped_.load(std::memory_order_relaxed) || event == nullptr) {
-    return false;
-  }
-  uint64_t mask = 0;
-  int hint_field = -1;
-  size_t hint_hash = 0;
-  {
-    zs::ReaderMutexLock lock(route_mu_);
-    if (stream < 0 || static_cast<size_t>(stream) >= streams_.size()) {
-      return false;
-    }
-    for (const RouteEntry& entry : streams_[static_cast<size_t>(stream)]
-                                       .routes) {
-      mask |= TargetMask(entry, event, &hint_field, &hint_hash);
-    }
-  }
-  events_ingested_.fetch_add(1, std::memory_order_relaxed);
-  if (trace_id != 0) {
-    events_traced_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const uint64_t arrival_ns = obs::MonotonicNanos();
-  bool ok = true;
-  for (size_t s = 0; mask != 0; ++s, mask >>= 1) {
-    if ((mask & 1) == 0) continue;
-    ShardMsg msg;
-    msg.kind = ShardMsg::Kind::kEvent;
-    msg.stream = stream;
-    msg.event = event;
-    msg.arrival_ns = arrival_ns;
-    msg.trace_id = trace_id;
-    msg.key_hint_field = hint_field;
-    msg.key_hint_hash = hint_hash;
-    if (options_.backpressure == BackpressurePolicy::kBlock) {
-      ok &= shards_[s]->queue.Push(std::move(msg));
-    } else if (!shards_[s]->queue.TryPush(std::move(msg))) {
-      shards_[s]->dropped.fetch_add(1, std::memory_order_relaxed);
-      ok = false;
-    }
-  }
-  return ok;
+  return Enqueue(stream, EventBatch{&event, 1}, trace_id) == 0;
 }
 
 bool StreamRuntime::Ingest(const std::string& stream_name,
@@ -630,18 +590,34 @@ ZS_HOT uint64_t StreamRuntime::IngestBatch(
 
 ZS_HOT uint64_t StreamRuntime::IngestBatch(
     StreamId stream, const std::vector<EventPtr>& events, uint64_t trace_id) {
-  if (stopped_.load(std::memory_order_relaxed)) return events.size();
+  return Enqueue(stream, EventBatch{events.data(), events.size()}, trace_id);
+}
+
+ZS_HOT uint64_t StreamRuntime::Enqueue(StreamId stream, EventBatch events,
+                                       uint64_t trace_id) {
+  if (stopped_.load(std::memory_order_relaxed)) return events.count;
+  // Per-producer staging, one message list per shard, reused across
+  // calls so that steady-state ingest allocates nothing.
+  thread_local std::vector<std::vector<ShardMsg>> staged;
+  if (staged.size() < shards_.size()) {
+    staged.resize(shards_.size());  // zs-hotpath-allow(once per producer thread)
+  }
   // One stamp per batch: latency for a batch's matches is measured from
   // the batch's enqueue, which is what a producer of that batch observes.
   const uint64_t arrival_ns = obs::MonotonicNanos();
-  std::vector<std::vector<ShardMsg>> per_shard(shards_.size());
+  uint64_t null_events = 0;
   {
     zs::ReaderMutexLock lock(route_mu_);
     if (stream < 0 || static_cast<size_t>(stream) >= streams_.size()) {
-      return events.size();
+      return events.count;
     }
     const StreamInfo& info = streams_[static_cast<size_t>(stream)];
-    for (const EventPtr& event : events) {
+    for (size_t i = 0; i < events.count; ++i) {
+      const EventPtr& event = events.data[i];
+      if (event == nullptr) {
+        ++null_events;
+        continue;
+      }
       uint64_t mask = 0;
       int hint_field = -1;
       size_t hint_hash = 0;
@@ -650,7 +626,7 @@ ZS_HOT uint64_t StreamRuntime::IngestBatch(
       }
       for (size_t s = 0; mask != 0; ++s, mask >>= 1) {
         if ((mask & 1) == 0) continue;
-        ShardMsg msg;
+        ShardMsg& msg = staged[s].emplace_back();  // zs-hotpath-allow(amortized: staging capacity reused across calls)
         msg.kind = ShardMsg::Kind::kEvent;
         msg.stream = stream;
         msg.event = event;
@@ -658,28 +634,30 @@ ZS_HOT uint64_t StreamRuntime::IngestBatch(
         msg.trace_id = trace_id;
         msg.key_hint_field = hint_field;
         msg.key_hint_hash = hint_hash;
-        per_shard[s].push_back(std::move(msg));
       }
     }
   }
-  events_ingested_.fetch_add(events.size(), std::memory_order_relaxed);
+  const uint64_t accepted = events.count - null_events;
+  events_ingested_.fetch_add(accepted, std::memory_order_relaxed);
   if (trace_id != 0) {
-    events_traced_.fetch_add(events.size(), std::memory_order_relaxed);
+    events_traced_.fetch_add(accepted, std::memory_order_relaxed);
   }
-  uint64_t drops = 0;
-  for (size_t s = 0; s < per_shard.size(); ++s) {
-    if (per_shard[s].empty()) continue;
+  uint64_t drops = null_events;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    std::vector<ShardMsg>& msgs = staged[s];
+    if (msgs.empty()) continue;
     if (options_.backpressure == BackpressurePolicy::kBlock) {
       // PushAll falls short only when the runtime stopped mid-batch.
-      drops += per_shard[s].size() - shards_[s]->queue.PushAll(&per_shard[s]);
+      drops += msgs.size() - shards_[s]->queue.PushAll(&msgs);
     } else {
-      for (ShardMsg& msg : per_shard[s]) {
+      for (ShardMsg& msg : msgs) {
         if (!shards_[s]->queue.TryPush(std::move(msg))) {
           shards_[s]->dropped.fetch_add(1, std::memory_order_relaxed);
           ++drops;
         }
       }
     }
+    msgs.clear();
   }
   return drops;
 }
@@ -740,7 +718,7 @@ Result<QueryId> StreamRuntime::RegisterQuery(StreamId stream,
                       AnalyzeQuery(text, schema, compile.analyzer));
   ZS_ASSIGN_OR_RETURN(PhysicalPlan plan, BuildPlan(pattern, compile));
   return RegisterCompiled(stream, std::move(pattern), plan, compile.engine,
-                          options, text);
+                          options);
 }
 
 Result<QueryId> StreamRuntime::RegisterQuery(const std::string& stream_name,
@@ -762,14 +740,12 @@ Result<QueryId> StreamRuntime::RegisterQuery(StreamId stream,
       return Status::InvalidArgument("unknown stream id");
     }
   }
-  return RegisterCompiled(stream, std::move(pattern), plan, engine, options,
-                          "");
+  return RegisterCompiled(stream, std::move(pattern), plan, engine, options);
 }
 
 Result<QueryId> StreamRuntime::RegisterCompiled(
     StreamId stream, PatternPtr pattern, const PhysicalPlan& plan,
-    const EngineOptions& engine_options, const QueryOptions& options,
-    std::string text) {
+    const EngineOptions& engine_options, const QueryOptions& options) {
   if (stopped_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("runtime is stopped");
   }
@@ -798,7 +774,6 @@ Result<QueryId> StreamRuntime::RegisterCompiled(
     }
   }
   qs->stream = stream;
-  qs->text = std::move(text);
   qs->pattern = pattern;
   {
     // No concurrent access yet (qs is unpublished); the lock satisfies
@@ -922,6 +897,8 @@ Result<uint64_t> StreamRuntime::UnregisterQuery(QueryId id) {
   {
     zs::MutexLock control(control_mu_);
     queries_.erase(id);
+    retired_matches_ += final_matches;
+    retired_label_matches_[qs->label] += final_matches;
   }
   return final_matches;
 }
@@ -1136,7 +1113,7 @@ void StreamRuntime::UpdateMetrics() {
                  "Events accepted by Ingest/IngestBatch")
       ->Store(stats.events_ingested);
   reg.GetCounter("zstream_matches_total", {},
-                 "Matches emitted across all registered queries")
+                 "Matches emitted by every query, dropped ones included")
       ->Store(stats.matches);
   reg.GetCounter("zstream_events_traced_total", {},
                  "Events ingested carrying a sampled trace id")
@@ -1166,16 +1143,24 @@ void StreamRuntime::UpdateMetrics() {
         ->Set(static_cast<int64_t>(s.pending));
   }
   std::vector<std::shared_ptr<QueryState>> queries;
+  std::unordered_map<std::string, uint64_t> label_matches;
   {
     zs::MutexLock control(control_mu_);
     queries.reserve(queries_.size());
     for (const auto& [qid, qstate] : queries_) queries.push_back(qstate);
+    label_matches = retired_label_matches_;
+  }
+  for (const auto& qs : queries) {
+    label_matches[qs->label] += qs->matches.load(std::memory_order_relaxed);
+  }
+  for (const auto& [label, matches] : label_matches) {
+    reg.GetCounter("zstream_query_matches_total", {{"query", label}},
+                   "Matches emitted under the query label, including "
+                   "dropped queries that carried it")
+        ->Store(matches);
   }
   for (const auto& qs : queries) {
     const obs::Labels labels = {{"query", qs->label}};
-    reg.GetCounter("zstream_query_matches_total", labels,
-                   "Matches emitted by the query")
-        ->Store(qs->matches.load(std::memory_order_relaxed));
     reg.GetGauge("zstream_query_plan_cost_estimate", labels,
                  "Estimated cost of the installed plan (rounded; "
                  "refreshed on adaptive switches)")
@@ -1233,6 +1218,7 @@ RuntimeStats StreamRuntime::Stats() const {
   {
     zs::MutexLock control(control_mu_);
     out.num_queries = queries_.size();
+    out.matches = retired_matches_;
     for (const auto& [id, qs] : queries_) {
       out.matches += qs->matches.load(std::memory_order_relaxed);
     }

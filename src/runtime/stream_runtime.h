@@ -115,9 +115,10 @@ class StreamRuntime {
   /// match count.
   Result<uint64_t> UnregisterQuery(QueryId id);
 
-  /// Routes one event to the shards that need it. Thread-safe (any
-  /// number of producers). Returns false when the runtime is stopped or
-  /// any target shard dropped the event under kDropNewest.
+  /// Routes one event to the shards that need it: an IngestBatch of
+  /// one. Thread-safe (any number of producers). Returns false when the
+  /// runtime is stopped, the event is null, or any target shard dropped
+  /// it under kDropNewest.
   bool Ingest(StreamId stream, const EventPtr& event);
 
   /// Routes by stream name (one registry lookup per call — resolve the
@@ -125,7 +126,8 @@ class StreamRuntime {
   bool Ingest(const std::string& stream_name, const EventPtr& event);
 
   /// Bulk ingest: routes and enqueues with one queue lock per target
-  /// shard. Returns the number of (event, shard) deliveries dropped.
+  /// shard. Returns the number of (event, shard) deliveries dropped; a
+  /// null event is not ingested and counts as one drop.
   uint64_t IngestBatch(StreamId stream, const std::vector<EventPtr>& events);
 
   /// Ingest with an externally-minted trace id (obs/trace.h) — the
@@ -213,6 +215,11 @@ class StreamRuntime {
 
   explicit StreamRuntime(const RuntimeOptions& options);
 
+  /// The one ingest path behind Ingest and IngestBatch: routes the
+  /// events and enqueues them with one PushAll per target shard (one
+  /// TryPush per message under kDropNewest). Returns the drops, as
+  /// IngestBatch does.
+  uint64_t Enqueue(StreamId stream, EventBatch events, uint64_t trace_id);
   void WorkerLoop(Shard* shard);
   /// Offers a run of one stream's events to every engine on `shard`
   /// whose query routes them there, as one span (Engine::PushBatch).
@@ -240,8 +247,7 @@ class StreamRuntime {
   Result<QueryId> RegisterCompiled(StreamId stream, PatternPtr pattern,
                                    const PhysicalPlan& plan,
                                    const EngineOptions& engine,
-                                   const QueryOptions& options,
-                                   std::string text);
+                                   const QueryOptions& options);
 
   RuntimeOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -254,6 +260,13 @@ class StreamRuntime {
       ZS_GUARDED_BY(control_mu_);
   QueryId next_query_id_ ZS_GUARDED_BY(control_mu_) = 1;
   int next_pin_ ZS_GUARDED_BY(control_mu_) = 0;
+  /// Matches of unregistered queries, in total and per metric label, so
+  /// that RuntimeStats::matches, zstream_matches_total and
+  /// zstream_query_matches_total never go backwards when a query is
+  /// dropped or re-created under the same label.
+  uint64_t retired_matches_ ZS_GUARDED_BY(control_mu_) = 0;
+  std::unordered_map<std::string, uint64_t> retired_label_matches_
+      ZS_GUARDED_BY(control_mu_);
 
   std::atomic<uint64_t> events_ingested_{0};
   /// Events ingested carrying a nonzero trace id (sampled locally or

@@ -1,7 +1,7 @@
 // Expression evaluation (three-valued logic, aggregates) and analysis.
 #include <gtest/gtest.h>
 
-#include "exec/record.h"
+#include "nfa/record.h"
 #include "expr/analysis.h"
 #include "expr/expr.h"
 

@@ -301,7 +301,7 @@ TEST(NetFrameParser, ReassemblesAcrossArbitrarySplits) {
   std::string stream;
   net::AppendFrame(&stream, MsgType::kDdl, 0, "CREATE ...");
   net::AppendFrame(&stream, MsgType::kFlush, 0, "");
-  net::AppendFrame(&stream, MsgType::kStats, 0, std::string(300, 'j'));
+  net::AppendFrame(&stream, MsgType::kMetrics, 0, std::string(300, 'j'));
 
   // Feed one byte at a time: every frame must come out exactly once.
   FrameParser parser;
@@ -320,7 +320,7 @@ TEST(NetFrameParser, ReassemblesAcrossArbitrarySplits) {
   EXPECT_EQ(frames[0].payload, "CREATE ...");
   EXPECT_EQ(frames[1].header.type, MsgType::kFlush);
   EXPECT_TRUE(frames[1].payload.empty());
-  EXPECT_EQ(frames[2].header.type, MsgType::kStats);
+  EXPECT_EQ(frames[2].header.type, MsgType::kMetrics);
   EXPECT_EQ(frames[2].payload.size(), 300u);
 }
 
@@ -347,7 +347,7 @@ TEST(NetFrameParser, OversizedSkipSurvivesPartialDelivery) {
   std::string bad;
   net::AppendFrame(&bad, MsgType::kDdl, 0, std::string(1000, 'x'));
   std::string good;
-  net::AppendFrame(&good, MsgType::kStatsRequest, 0, "");
+  net::AppendFrame(&good, MsgType::kMetricsRequest, 0, "");
 
   parser.Append(bad.data(), 20);  // header + a sliver of payload
   auto first = parser.Next();
@@ -363,7 +363,7 @@ TEST(NetFrameParser, OversizedSkipSurvivesPartialDelivery) {
   auto next = parser.Next();
   ASSERT_TRUE(next.ok()) << next.status();
   ASSERT_TRUE(next->has_value());
-  EXPECT_EQ((*next)->header.type, MsgType::kStatsRequest);
+  EXPECT_EQ((*next)->header.type, MsgType::kMetricsRequest);
 }
 
 TEST(NetFrameParser, UnknownTypeIsCodedAndResyncs) {
@@ -714,11 +714,11 @@ TEST(NetServer, ZeroLengthDdlFrameIsCodedError) {
   const Status err = raw.ReadError();
   EXPECT_EQ(err.error_code(), errc::kNetEmptyPayload);
 
-  // The connection is still alive: a stats request answers.
-  std::string stats;
-  net::AppendFrame(&stats, MsgType::kStatsRequest, 0, "");
-  raw.Write(stats);
-  EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kStats);
+  // The connection is still alive: a metrics request answers.
+  std::string metrics;
+  net::AppendFrame(&metrics, MsgType::kMetricsRequest, 0, "");
+  raw.Write(metrics);
+  EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kMetrics);
 }
 
 TEST(NetServer, TruncatedEventBatchOverWireIsCodedError) {
@@ -767,10 +767,81 @@ TEST(NetServer, OversizedFrameOverWireIsCodedErrorAndRecovers) {
   const Status err = raw.ReadError();
   EXPECT_EQ(err.error_code(), errc::kNetOversizedFrame);
 
-  std::string stats;
-  net::AppendFrame(&stats, MsgType::kStatsRequest, 0, "");
-  raw.Write(stats);
-  EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kStats);
+  std::string metrics;
+  net::AppendFrame(&metrics, MsgType::kMetricsRequest, 0, "");
+  raw.Write(metrics);
+  EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kMetrics);
+}
+
+// 10 and 11 were the STATS request/reply pair. They stay unassigned: a
+// peer still sending them gets the coded unknown-type error, and the
+// connection keeps working.
+TEST(NetServer, RetiredStatsTypesAreUnknownAndConnectionSurvives) {
+  ServerFixture fx;
+  RawConn raw(fx.server->port());
+  for (const uint8_t retired : {uint8_t{10}, uint8_t{11}}) {
+    std::string frame;
+    net::PutU8(&frame, net::kProtocolVersion);
+    net::PutU8(&frame, retired);
+    net::PutU8(&frame, 0);
+    net::PutU8(&frame, 0);
+    net::PutU32(&frame, 3);
+    frame += "old";
+    raw.Write(frame);
+    EXPECT_EQ(raw.ReadError().error_code(), errc::kNetUnknownType);
+  }
+  std::string metrics;
+  net::AppendFrame(&metrics, MsgType::kMetricsRequest, 0, "");
+  raw.Write(metrics);
+  EXPECT_EQ(raw.ReadFrame().header.type, MsgType::kMetrics);
+}
+
+// A query pre-registered in the session with a fixed, non-optimal shape
+// is served with that plan: the runtime's EXPLAIN ANALYZE reports the
+// shape SHOW PLAN reports, not a re-plan under default options.
+TEST(NetServer, ServesThePlanTheSessionCompiled) {
+  const std::string text =
+      "PATTERN A;B;C WHERE A.price < B.price AND B.price < C.price "
+      "WITHIN 10";
+  ZStream session;
+  ASSERT_TRUE(session.Execute(kStockDdl).ok());
+  auto optimal = session.Compile("stock", text);
+  ASSERT_TRUE(optimal.ok()) << optimal.status();
+  const std::string optimal_plan =
+      (*optimal)->plan().Explain((*optimal)->pattern());
+  CompileOptions fixed;
+  fixed.strategy = PlanStrategy::kShape;
+  std::string fixed_plan;
+  for (const char* shape : {"((0 1) 2)", "(0 (1 2))"}) {
+    fixed.shape = shape;
+    auto q = session.Compile("stock", text, fixed);
+    ASSERT_TRUE(q.ok()) << q.status();
+    fixed_plan = (*q)->plan().Explain((*q)->pattern());
+    if (fixed_plan != optimal_plan) break;
+  }
+  ASSERT_NE(fixed_plan, optimal_plan);
+  ASSERT_TRUE(
+      session.Execute("CREATE QUERY fixed ON stock AS " + text, fixed).ok());
+
+  runtime::RuntimeOptions ropts;
+  ropts.num_shards = 2;
+  auto server = Server::Create(&session, ropts);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ASSERT_TRUE((*server)->Start().ok());
+  auto client = Client::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  const auto plan_of = [](const std::string& message) {
+    const size_t at = message.find("plan=");
+    return at == std::string::npos
+               ? std::string()
+               : message.substr(at + 5, message.find(" cost") - at - 5);
+  };
+  auto shown = (*client)->Execute("SHOW PLAN fixed");
+  ASSERT_TRUE(shown.ok()) << shown.status();
+  auto analyzed = (*client)->Execute("EXPLAIN ANALYZE fixed");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  EXPECT_EQ(plan_of(shown->message), fixed_plan) << shown->message;
+  EXPECT_EQ(plan_of(analyzed->message), fixed_plan) << analyzed->message;
 }
 
 TEST(NetServer, DropPolicyReportsThrottleFlag) {

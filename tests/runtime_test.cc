@@ -540,9 +540,16 @@ TEST(StreamRuntime, StartRuntimeFacade) {
   EXPECT_GT(*matches, 0u);
   const auto stats = (*rt)->Stats();
   EXPECT_EQ(stats.events_processed, events.size());
-  const std::string json = stats.ToJson();
-  EXPECT_NE(json.find("\"shards\""), std::string::npos);
-  EXPECT_NE(json.find("\"throughput_eps\""), std::string::npos);
+  // The exported view is the metrics registry: per-shard series and the
+  // runtime totals.
+  const std::string json = (*rt)->MetricsJson();
+  EXPECT_NE(json.find("\"zstream_shard_events_processed_total\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"zstream_shard_queue_depth\""), std::string::npos);
+  EXPECT_NE((*rt)->MetricsPrometheus().find(
+                "zstream_events_ingested_total " +
+                std::to_string(events.size()) + "\n"),
+            std::string::npos);
   (*rt)->Stop();
   EXPECT_FALSE((*rt)->Ingest(*stream, events.front()));
   EXPECT_TRUE((*rt)->Flush().IsFailedPrecondition());
@@ -761,9 +768,99 @@ TEST(StreamRuntime, ReorderLateDropsAreCountedAndExported) {
   const runtime::RuntimeStats stats = (*rt)->Stats();
   EXPECT_EQ(stats.late_dropped, 1u);
   EXPECT_EQ(stats.pending, 0u);
-  const std::string json = stats.ToJson();
-  EXPECT_NE(json.find("\"late_dropped\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"pending\": 0"), std::string::npos);
+  const std::string metrics = (*rt)->MetricsPrometheus();
+  EXPECT_NE(metrics.find("zstream_shard_reorder_late_total{shard=\"0\"} 1\n"),
+            std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("zstream_shard_reorder_pending{shard=\"0\"} 0\n"),
+            std::string::npos)
+      << metrics;
+}
+
+// Dropping a query keeps its matches in the totals: neither the runtime
+// total nor the per-label series goes backwards when a query is
+// unregistered and re-created under the same label.
+TEST(StreamRuntime, MatchCountersNeverDecreaseAcrossDropAndRecreate) {
+  RuntimeOptions options;
+  options.num_shards = 2;
+  auto rt = StreamRuntime::Create(options);
+  ASSERT_TRUE(rt.ok());
+  auto stream = (*rt)->AddStream("stock", StockSchema());
+  ASSERT_TRUE(stream.ok());
+  const std::string text =
+      "PATTERN A;B WHERE A.name = B.name AND A.price < B.price WITHIN 50";
+  CompileOptions compile;
+  compile.engine.label = "rally";
+  const auto events = ManyNameTrades(2000, 5);
+
+  obs::Registry& reg = (*rt)->metrics_registry();
+  uint64_t total = 0;
+  uint64_t labelled = 0;
+  const auto scrape = [&] {
+    (*rt)->UpdateMetrics();
+    const uint64_t t = reg.GetCounter("zstream_matches_total")->value();
+    const uint64_t l =
+        reg.GetCounter("zstream_query_matches_total", {{"query", "rally"}})
+            ->value();
+    EXPECT_GE(t, total);
+    EXPECT_GE(l, labelled);
+    EXPECT_EQ((*rt)->Stats().matches, t);
+    total = t;
+    labelled = l;
+  };
+
+  auto first = (*rt)->RegisterQuery(*stream, text, compile);
+  ASSERT_TRUE(first.ok()) << first.status();
+  scrape();
+  EXPECT_EQ((*rt)->IngestBatch(*stream, events), 0u);
+  ASSERT_TRUE((*rt)->Flush().ok());
+  scrape();
+  auto first_matches = (*rt)->UnregisterQuery(*first);
+  ASSERT_TRUE(first_matches.ok()) << first_matches.status();
+  ASSERT_GT(*first_matches, 0u);
+  scrape();
+  EXPECT_EQ(total, *first_matches);
+  EXPECT_EQ(labelled, *first_matches);
+
+  auto second = (*rt)->RegisterQuery(*stream, text, compile);
+  ASSERT_TRUE(second.ok()) << second.status();
+  scrape();
+  EXPECT_EQ((*rt)->IngestBatch(*stream, events), 0u);
+  ASSERT_TRUE((*rt)->Flush().ok());
+  scrape();
+  auto second_matches = (*rt)->query_matches(*second);
+  ASSERT_TRUE(second_matches.ok());
+  EXPECT_EQ(*second_matches, *first_matches);
+  EXPECT_EQ(total, *first_matches + *second_matches);
+  EXPECT_EQ(labelled, *first_matches + *second_matches);
+}
+
+// A single event is an ingest batch of one, so both entry points treat
+// a null event alike: not ingested, counted as a drop, never routed (a
+// hash-routed query would read its key).
+TEST(StreamRuntime, NullEventIsCountedAsDropOnBothIngestPaths) {
+  RuntimeOptions options;
+  options.num_shards = 2;
+  auto rt = StreamRuntime::Create(options);
+  ASSERT_TRUE(rt.ok());
+  auto stream = (*rt)->AddStream("stock", StockSchema());
+  ASSERT_TRUE(stream.ok());
+  auto pinned = (*rt)->RegisterQuery(
+      *stream, "PATTERN A;B WHERE A.price < B.price WITHIN 10");
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+  auto hashed = (*rt)->RegisterQuery(
+      *stream,
+      "PATTERN A;B WHERE A.name = B.name AND A.price < B.price WITHIN 10");
+  ASSERT_TRUE(hashed.ok()) << hashed.status();
+
+  const std::vector<EventPtr> batch = {Stock("IBM", 1.0, 1), nullptr,
+                                       Stock("IBM", 2.0, 2)};
+  EXPECT_EQ((*rt)->IngestBatch(*stream, batch), 1u);
+  EXPECT_FALSE((*rt)->Ingest(*stream, EventPtr()));
+  ASSERT_TRUE((*rt)->Flush().ok());
+  EXPECT_EQ((*rt)->Stats().events_ingested, 2u);
+  EXPECT_EQ((*rt)->query_matches(*pinned).ValueOr(0), 1u);
+  EXPECT_EQ((*rt)->query_matches(*hashed).ValueOr(0), 1u);
 }
 
 // The shards reorder at ingress; a per-query slack would be a second

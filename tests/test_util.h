@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "exec/engine.h"
 #include "nfa/nfa_engine.h"
+#include "nfa/record.h"
 #include "query/analyzer.h"
 
 namespace zstream::testing {

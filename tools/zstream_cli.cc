@@ -7,8 +7,7 @@
 //               [--expect QUERY=COUNT]
 //   zstream_cli [--host H] [--port N] tail QUERY [--count N]
 //               [--timeout-ms N]
-//   zstream_cli [--host H] [--port N] stats
-//               [--watch [--interval-ms N] [--ticks N]]
+//   zstream_cli [--host H] [--port N] stats [--interval-ms N] [--ticks N]
 //   zstream_cli [--host H] [--port N] metrics [--json]
 //   zstream_cli [--host H] [--port N] trace [--out FILE]
 //   zstream_cli [--host H] [--port N] flush
@@ -19,15 +18,16 @@
 // --expect QUERY=COUNT turns the run into an assertion (exit 1 on
 // mismatch) — the CI smoke test's hook.
 //
-// `stats --watch` polls the server's stats document on an interval and
-// prints one delta line per tick (ingest rate, match rate, aggregate
-// shard queue depth) — a poor man's `top` for a running server.
-// `metrics` fetches the observability registry snapshot over the wire
-// (the same document the HTTP /metrics side port serves).
+// `stats` polls the server's metrics registry (the METRICS JSON
+// document) on an interval and prints one delta line per tick (ingest
+// rate, traced rate, match rate, drops, aggregate shard queue depth) —
+// a poor man's `top` for a running server; --ticks N stops after N
+// lines. `metrics` fetches the registry snapshot itself over the wire
+// (the same document the HTTP /metrics side port serves; --json for
+// /metrics.json).
 // `trace` fetches the server's span window as chrome://tracing /
 // Perfetto JSON (the /trace side-port document); --out writes it to a
 // file ready to load into a trace viewer.
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -231,25 +231,27 @@ int RunTail(net::Client& client, std::vector<std::string> args) {
   return 0;
 }
 
-// Pulls the first `"key": <integer>` value out of a stats JSON
-// document at or after `from`. The server renders stats itself with a
-// stable field order (runtime_stats.cc / BuildStatsJson), so a real
-// JSON parser would be overkill here. Returns false when absent.
-bool FindJsonU64(const std::string& json, const char* key, size_t from,
-                 uint64_t* out, size_t* next) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const size_t at = json.find(needle, from);
+// Sums the values of every series of one registry family in a METRICS
+// JSON document. obs::Registry::RenderJson renders each family as
+//   "name":{"type":..,"help":..,"series":[{"labels":{..},"value":N},..]}
+// with no whitespace, so a real JSON parser would be overkill here.
+// Returns false when the family is absent.
+bool SumFamily(const std::string& doc, const char* family, uint64_t* out) {
+  const size_t at = doc.find(std::string("\"") + family + "\":{");
   if (at == std::string::npos) return false;
-  size_t pos = at + needle.size();
-  while (pos < json.size() && json[pos] == ' ') ++pos;
-  if (pos >= json.size() || std::isdigit(json[pos]) == 0) return false;
-  *out = std::strtoull(json.c_str() + pos, nullptr, 10);
-  if (next != nullptr) *next = pos;
+  const size_t end = doc.find("]}", at);
+  const std::string needle = "\"value\":";
+  *out = 0;
+  for (size_t pos = doc.find(needle, at); pos < end;
+       pos = doc.find(needle, pos)) {
+    pos += needle.size();
+    *out += std::strtoull(doc.c_str() + pos, nullptr, 10);
+  }
   return true;
 }
 
-// One sampled reading of the counters the watch ticker reports.
-struct WatchSample {
+// One sampled reading of the counters the ticker reports.
+struct StatsSample {
   uint64_t ingested = 0;
   uint64_t traced = 0;
   uint64_t matches = 0;
@@ -257,40 +259,41 @@ struct WatchSample {
   uint64_t queue_depth = 0;  // summed over shards
 };
 
-bool ParseWatchSample(const std::string& json, WatchSample* s) {
-  // The stats document nests the runtime object last, so scan for its
-  // fields from the start; the "runtime" totals appear before the
-  // per-shard array, whose queue_depth entries we sum.
-  const size_t rt = json.find("\"runtime\":");
-  const size_t base = rt == std::string::npos ? 0 : rt;
-  if (!FindJsonU64(json, "events_ingested", base, &s->ingested, nullptr)) {
-    return false;
+Status FetchSample(net::Client& client, StatsSample* s) {
+  auto doc = client.Metrics(net::kMetricsFormatJson);
+  if (!doc.ok()) return doc.status();
+  if (!SumFamily(*doc, "zstream_events_ingested_total", &s->ingested) ||
+      !SumFamily(*doc, "zstream_events_traced_total", &s->traced) ||
+      !SumFamily(*doc, "zstream_matches_total", &s->matches) ||
+      !SumFamily(*doc, "zstream_shard_events_dropped_total", &s->dropped) ||
+      !SumFamily(*doc, "zstream_shard_queue_depth", &s->queue_depth)) {
+    return Status::Internal("metrics document lacks a runtime series");
   }
-  FindJsonU64(json, "events_traced", base, &s->traced, nullptr);
-  if (!FindJsonU64(json, "matches", base, &s->matches, nullptr)) {
-    return false;
-  }
-  FindJsonU64(json, "events_dropped", base, &s->dropped, nullptr);
-  size_t pos = base;
-  uint64_t depth = 0;
-  s->queue_depth = 0;
-  while (FindJsonU64(json, "queue_depth", pos, &depth, &pos)) {
-    s->queue_depth += depth;
-    ++pos;
-  }
-  return true;
+  return Status::OK();
 }
 
-int RunStatsWatch(net::Client& client, int interval_ms, int64_t ticks) {
-  WatchSample prev;
-  {
-    auto json = client.StatsJson();
-    if (!json.ok()) return Fail(json.status());
-    if (!ParseWatchSample(*json, &prev)) {
-      std::fprintf(stderr, "cannot parse stats document\n");
-      return 1;
+int RunStats(net::Client& client, const std::vector<std::string>& args) {
+  int interval_ms = 1000;
+  int64_t ticks = -1;  // forever by default
+  for (size_t i = 0; i < args.size(); ++i) {
+    auto next = [&]() -> const char* {
+      return i + 1 < args.size() ? args[++i].c_str() : nullptr;
+    };
+    if (args[i] == "--interval-ms") {
+      const char* v = next();
+      if (v == nullptr) return Usage();
+      interval_ms = std::atoi(v);
+      if (interval_ms <= 0) interval_ms = 1000;
+    } else if (args[i] == "--ticks") {
+      const char* v = next();
+      if (v == nullptr) return Usage();
+      ticks = std::atoll(v);
+    } else {
+      return Usage();
     }
   }
+  StatsSample prev;
+  if (Status st = FetchSample(client, &prev); !st.ok()) return Fail(st);
   std::printf("%10s %12s %10s %12s %10s %10s\n", "t", "ev/s", "traced/s",
               "matches/s", "dropped", "queue");
   std::fflush(stdout);
@@ -298,13 +301,8 @@ int RunStatsWatch(net::Client& client, int interval_ms, int64_t ticks) {
   auto last = start;
   for (int64_t tick = 0; ticks < 0 || tick < ticks; ++tick) {
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    auto json = client.StatsJson();
-    if (!json.ok()) return Fail(json.status());
-    WatchSample cur;
-    if (!ParseWatchSample(*json, &cur)) {
-      std::fprintf(stderr, "cannot parse stats document\n");
-      return 1;
-    }
+    StatsSample cur;
+    if (Status st = FetchSample(client, &cur); !st.ok()) return Fail(st);
     const auto now = std::chrono::steady_clock::now();
     const double dt =
         std::chrono::duration<double>(now - last).count();
@@ -324,36 +322,6 @@ int RunStatsWatch(net::Client& client, int interval_ms, int64_t ticks) {
     std::fflush(stdout);
     prev = cur;
   }
-  return 0;
-}
-
-int RunStats(net::Client& client, const std::vector<std::string>& args) {
-  bool watch = false;
-  int interval_ms = 1000;
-  int64_t ticks = -1;  // watch forever by default
-  for (size_t i = 0; i < args.size(); ++i) {
-    auto next = [&]() -> const char* {
-      return i + 1 < args.size() ? args[++i].c_str() : nullptr;
-    };
-    if (args[i] == "--watch") {
-      watch = true;
-    } else if (args[i] == "--interval-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      interval_ms = std::atoi(v);
-      if (interval_ms <= 0) interval_ms = 1000;
-    } else if (args[i] == "--ticks") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      ticks = std::atoll(v);
-    } else {
-      return Usage();
-    }
-  }
-  if (watch) return RunStatsWatch(client, interval_ms, ticks);
-  auto json = client.StatsJson();
-  if (!json.ok()) return Fail(json.status());
-  std::printf("%s\n", json->c_str());
   return 0;
 }
 
